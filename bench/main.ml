@@ -34,6 +34,14 @@ module J = Oasis_util.Json
 module V = Oasis_rdl.Value
 
 let header title = Printf.printf "\n=== %s ===\n" title
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
 let row fmt = Printf.printf fmt
 
 let fresh_vci =
@@ -2020,83 +2028,91 @@ let e22 () =
      router) only through the backend's framed sockets, exactly as the
      multi-process [oasis_cli serve] deployment does.  The clock is the
      wall clock; acks ride real fsyncs. *)
-  let b = Backend_unix.create () in
+  let data_dir = Filename.temp_dir "oasis-e22-" "" in
+  let b = Backend_unix.create ~data_dir () in
   let backend = Backend_unix.pack b in
-  let net = Backend.net backend in
-  let engine = Backend.engine backend in
-  let reg = Service.create_registry () in
-  let rolefile = {|
+  let committed = ref 0 and failed = ref 0 and wall = ref 0.0 in
+  (* The data directory is private to this run and removed on every exit
+     path, so no later run can recover its WAL. *)
+  Fun.protect
+    ~finally:(fun () ->
+      Backend_unix.shutdown b;
+      rm_rf data_dir)
+    (fun () ->
+      let net = Backend.net backend in
+      let engine = Backend.engine backend in
+      let reg = Service.create_registry () in
+      let rolefile = {|
 Admin <-
 Login(u) <-
 User(u) <- Login(u)* |>* Admin
 |} in
-  let port = Backend_unix.listen b () in
-  let wire i = Printf.sprintf "wire.e22.s%d" i in
-  let shard_wires = Array.init shards wire in
-  Array.iteri
-    (fun i _ ->
-      let host = Net.add_host net (Printf.sprintf "h.e22.s%d" i) in
-      let svc =
-        match
-          Service.create net host reg
-            ~name:(Printf.sprintf "Gate22#%d" i)
-            ~rolefile_id:"Gate22" ~rolefile ~compound_certificates:false
-            ~disk:(Backend.disk backend host) ()
-        with
-        | Ok s -> s
-        | Error e -> failwith ("e22 shard: " ^ e)
+      let port = Backend_unix.listen b () in
+      let wire i = Printf.sprintf "wire.e22.s%d" i in
+      let shard_wires = Array.init shards wire in
+      Array.iteri
+        (fun i _ ->
+          let host = Net.add_host net (Printf.sprintf "h.e22.s%d" i) in
+          let svc =
+            match
+              Service.create net host reg
+                ~name:(Printf.sprintf "Gate22#%d" i)
+                ~rolefile_id:"Gate22" ~rolefile ~compound_certificates:false
+                ~disk:(Backend.disk backend host) ()
+            with
+            | Ok s -> s
+            | Error e -> failwith ("e22 shard: " ^ e)
+          in
+          ignore (Remote.serve_shard net svc ~shard_id:i);
+          Backend_unix.peer b ~name:(wire i) ~port;
+          Backend_unix.alias b ~name:(wire i) ~local:(Net.host_name host))
+        shard_wires;
+      let router_host = Net.add_host net "h.e22.router" in
+      ignore (Remote.serve_router net router_host ~ring:(Shard.Ring.make ~shards ()) ~shards:shard_wires);
+      Backend_unix.peer b ~name:"wire.e22.router" ~port;
+      Backend_unix.alias b ~name:"wire.e22.router" ~local:"h.e22.router";
+      let client_host = Net.add_host net "h.e22.client" in
+      let c = Remote.Client.create net client_host ~router:"wire.e22.router" in
+      let next = ref 0 in
+      let t0 = ref 0.0 in
+      let finish () =
+        wall := Engine.now engine -. !t0;
+        Backend.stop backend
       in
-      ignore (Remote.serve_shard net svc ~shard_id:i);
-      Backend_unix.peer b ~name:(wire i) ~port;
-      Backend_unix.alias b ~name:(wire i) ~local:(Net.host_name host))
-    shard_wires;
-  let router_host = Net.add_host net "h.e22.router" in
-  ignore (Remote.serve_router net router_host ~ring:(Shard.Ring.make ~shards ()) ~shards:shard_wires);
-  Backend_unix.peer b ~name:"wire.e22.router" ~port;
-  Backend_unix.alias b ~name:"wire.e22.router" ~local:"h.e22.router";
-  let client_host = Net.add_host net "h.e22.client" in
-  let c = Remote.Client.create net client_host ~router:"wire.e22.router" in
-  let committed = ref 0 and failed = ref 0 and next = ref 0 in
-  let t0 = ref 0.0 and wall = ref 0.0 in
-  let finish () =
-    wall := Engine.now engine -. !t0;
-    Backend.stop backend
-  in
-  let landed () =
-    if !committed + !failed = members then finish ()
-  in
-  let rec drive () =
-    if !next < members then begin
-      let u = Printf.sprintf "u%d" !next in
-      incr next;
-      Remote.Client.place c ~role:"User" ~args:[ V.Str u ] (function
-        | Error e -> failwith ("e22 place: " ^ e)
-        | Ok owner ->
-            Remote.Client.bootstrap c ~shard:owner ~client:u ~roles:[ "Login" ]
-              ~args:[ V.Str u ] (function
-              | Error e -> failwith ("e22 bootstrap: " ^ e)
-              | Ok login ->
-                  Remote.Client.issue c ~client:u ~role:"User" ~args:[ V.Str u ]
-                    ~creds:[ login ] (fun r ->
-                      (match r with
-                      | Ok _ -> incr committed
-                      | Error e ->
-                          incr failed;
-                          row "  e22 entry %s: %s\n" u e);
-                      landed ();
-                      drive ())))
-    end
-  in
-  Engine.schedule engine ~delay:0.0 (fun () ->
-      t0 := Engine.now engine;
-      for _ = 1 to window do
-        drive ()
-      done);
-  (* Wall-clock safety net: a wedged socket loop must fail the bench, not
-     hang CI. *)
-  Engine.schedule engine ~delay:600.0 (fun () -> finish ());
-  Backend.run backend;
-  Backend_unix.shutdown b;
+      let landed () =
+        if !committed + !failed = members then finish ()
+      in
+      let rec drive () =
+        if !next < members then begin
+          let u = Printf.sprintf "u%d" !next in
+          incr next;
+          Remote.Client.place c ~role:"User" ~args:[ V.Str u ] (function
+            | Error e -> failwith ("e22 place: " ^ e)
+            | Ok owner ->
+                Remote.Client.bootstrap c ~shard:owner ~client:u ~roles:[ "Login" ]
+                  ~args:[ V.Str u ] (function
+                  | Error e -> failwith ("e22 bootstrap: " ^ e)
+                  | Ok login ->
+                      Remote.Client.issue c ~client:u ~role:"User" ~args:[ V.Str u ]
+                        ~creds:[ login ] (fun r ->
+                          (match r with
+                          | Ok _ -> incr committed
+                          | Error e ->
+                              incr failed;
+                              row "  e22 entry %s: %s\n" u e);
+                          landed ();
+                          drive ())))
+        end
+      in
+      Engine.schedule engine ~delay:0.0 (fun () ->
+          t0 := Engine.now engine;
+          for _ = 1 to window do
+            drive ()
+          done);
+      (* Wall-clock safety net: a wedged socket loop must fail the bench, not
+         hang CI. *)
+      Engine.schedule engine ~delay:600.0 (fun () -> finish ());
+      Backend.run backend);
   if !committed <> members then
     failwith (Printf.sprintf "e22: only %d/%d entries committed" !committed members);
   let thpt = float_of_int members /. !wall in

@@ -342,12 +342,6 @@ let disk_ops dir =
            the next fsync lands them after the new contents, which is the
            contract the compacting callers rely on. *)
         k ());
-    o_truncate =
-      (fun ~file ->
-        let f = rfile file in
-        Unix.ftruncate f.rf_fd 0;
-        Buffer.clear f.rf_pending;
-        f.rf_durable <- 0);
     o_read =
       (fun ~file ->
         let f = rfile file in

@@ -68,7 +68,6 @@ and server = {
   b_host : Net.host;
   b_name : string;
   b_heartbeat : float;
-  b_ack_every : int;
   b_retention : float;
   b_horizon_lag : float;
   mutable b_seq : int;
@@ -83,8 +82,7 @@ and server = {
   mutable b_on_tick : (unit -> unit) list;
   mutable b_hb_timer : Engine.timer option;
   mutable b_stopped : bool;
-  b_wal : Oasis_store.Wal.t option;  (* durable retained-event log *)
-  mutable b_wal_signals : int;  (* appends since last compaction *)
+  b_journal : Oasis_store.Journal.t option;  (* durable retained-event log *)
 }
 
 type registration = {
@@ -155,13 +153,24 @@ let decode_retained line =
       Some (t, Event.make ~name ~source ~stamp ~seq params)
   | _ -> None
 
-let rec create_server net host ~name ?(heartbeat = 1.0) ?(ack_every = 4) ?(retention = 10.0)
+(* Clients ack in-order deliveries every [ack_every] heartbeats; a session
+   that misses [8 * ack_every] acks is dead. *)
+let ack_every = 4
+
+(* The retained-event journal checkpoints every 256 appends: its image is
+   the retained queue (one retention window), so the log stays bounded
+   while the queue does. *)
+let checkpoint_every = 256
+
+let rec create_server net host ~name ?(heartbeat = 1.0) ?(retention = 10.0)
     ?(horizon_lag = 0.0) ?(coalesce = false) ?disk () =
-  let wal =
-    match disk with
-    | None -> None
-    | Some disk ->
-        Some (Oasis_store.Wal.create disk ~file:(Printf.sprintf "broker.%s.wal" name) ())
+  let retained = Queue.create () in
+  let image () = Queue.fold (fun acc it -> encode_retained it :: acc) [] retained |> List.rev in
+  let journal =
+    Option.map
+      (fun disk ->
+        Oasis_store.Journal.create disk ~file:("broker." ^ name) ~every:checkpoint_every ~image)
+      disk
   in
   let srv =
     {
@@ -169,13 +178,12 @@ let rec create_server net host ~name ?(heartbeat = 1.0) ?(ack_every = 4) ?(reten
       b_host = host;
       b_name = name;
       b_heartbeat = heartbeat;
-      b_ack_every = ack_every;
       b_retention = retention;
       b_horizon_lag = horizon_lag;
       b_seq = 0;
       b_last_stamp = neg_infinity;
       b_sessions = [];
-      b_retained = Queue.create ();
+      b_retained = retained;
       b_admission = (fun ~credentials:_ -> true);
       b_reg_filter = (fun ~credentials:_ tpl -> Some tpl);
       b_next_session = 0;
@@ -184,8 +192,7 @@ let rec create_server net host ~name ?(heartbeat = 1.0) ?(ack_every = 4) ?(reten
       b_on_tick = [];
       b_hb_timer = None;
       b_stopped = false;
-      b_wal = wal;
-      b_wal_signals = 0;
+      b_journal = journal;
     }
   in
   (* A host crash loses the server's volatile state: live sessions and
@@ -201,23 +208,29 @@ let rec create_server net host ~name ?(heartbeat = 1.0) ?(ack_every = 4) ?(reten
   Net.on_crash net host (fun () ->
       srv.b_sessions <- [];
       Hashtbl.reset srv.b_creds;
-      if Option.is_some srv.b_wal then Queue.clear srv.b_retained);
-  (match wal with
+      if Option.is_some srv.b_journal then Queue.clear srv.b_retained);
+  (match journal with
   | None -> ()
-  | Some w ->
+  | Some j ->
       Net.on_restart net host (fun () ->
           Queue.clear srv.b_retained;
+          (* A crash between a checkpoint's image save and its log rewrite
+             recovers the new image followed by the old log, which repeats
+             events the image holds.  Retained events are not idempotent
+             (the queue must stay in seq and time order), so replay keeps
+             only events past the last one pushed. *)
+          let last = ref (-1) in
           List.iter
             (fun line ->
               match decode_retained line with
-              | Some (t, e) ->
+              | Some (t, e) when e.Event.seq > !last ->
+                  last := e.Event.seq;
                   Queue.push (t, e) srv.b_retained;
                   if e.Event.seq >= srv.b_seq then srv.b_seq <- e.Event.seq + 1;
                   if e.Event.stamp > srv.b_last_stamp then srv.b_last_stamp <- e.Event.stamp
-              | None -> ())
-            (Oasis_store.Wal.recover w);
-          purge_retained srv;
-          srv.b_wal_signals <- 0));
+              | _ -> ())
+            (Oasis_store.Journal.records j);
+          purge_retained srv));
   (* Heartbeats to every live session.  Tick hooks run first, so payloads
      they produce (e.g. a service's invalidation digest) are matched into
      the per-session coalesce buffers and ride this very tick; a session
@@ -238,7 +251,7 @@ let rec create_server net host ~name ?(heartbeat = 1.0) ?(ack_every = 4) ?(reten
                       long period (§4.10: "can assume that it is no longer
                       running"). *)
                    ss.ss_missed_acks <- ss.ss_missed_acks + 1;
-                   if ss.ss_missed_acks > 8 * srv.b_ack_every then begin
+                   if ss.ss_missed_acks > 8 * ack_every then begin
                      ss.ss_live <- false;
                      srv.b_sessions <- List.filter (fun s -> s != ss) srv.b_sessions
                    end
@@ -293,7 +306,7 @@ and client_heartbeat s sid horizon upto =
       Net.send s.s_net ~category:"evt.nack" ~size:16 ~src:s.s_host ~dst:srv.b_host (fun () ->
           server_nack srv sid from)
     end;
-    if s.s_hb_seen mod s.s_server.b_ack_every = 0 then
+    if s.s_hb_seen mod ack_every = 0 then
       let last = s.s_last_seq in
       let srv = s.s_server in
       Net.send s.s_net ~category:"evt.ack" ~size:16 ~src:s.s_host ~dst:srv.b_host (fun () ->
@@ -438,21 +451,9 @@ let signal srv ?stamp name params =
   purge_retained srv;
   let now = Engine.now (Net.engine srv.b_net) in
   Queue.push (now, event) srv.b_retained;
-  (match srv.b_wal with
-  | None -> ()
-  | Some w ->
-      Oasis_store.Wal.append w (encode_retained (now, event));
-      srv.b_wal_signals <- srv.b_wal_signals + 1;
-      (* Compaction: the log otherwise grows without bound while the
-         in-memory queue stays at one retention window; rewrite it to the
-         currently-retained suffix every so often (atomic, crash-safe). *)
-      if srv.b_wal_signals >= 256 then begin
-        srv.b_wal_signals <- 0;
-        let records =
-          Queue.fold (fun acc it -> encode_retained it :: acc) [] srv.b_retained |> List.rev
-        in
-        Oasis_store.Wal.rewrite w records (fun () -> ())
-      end);
+  Option.iter
+    (fun j -> Oasis_store.Journal.append j (encode_retained (now, event)))
+    srv.b_journal;
   List.iter
     (fun ss ->
       if ss.ss_live then

@@ -40,26 +40,26 @@ val create_server :
   Oasis_sim.Net.host ->
   name:string ->
   ?heartbeat:float ->
-  ?ack_every:int ->
   ?retention:float ->
   ?horizon_lag:float ->
   ?coalesce:bool ->
   ?disk:Oasis_store.Disk.t ->
   unit ->
   server
-(** Defaults: heartbeat 1.0 s, ack every 4 heartbeats, retention 10 s of
-    events for retrospective registration, horizon lag 0 (events are
-    signalled with monotone stamps), coalescing off.
+(** Defaults: heartbeat 1.0 s, retention 10 s of events for retrospective
+    registration, horizon lag 0 (events are signalled with monotone
+    stamps), coalescing off.  Clients ack every 4 heartbeats.
 
     With [~disk], the retained-event log is durable: every signalled
-    event is appended to a write-ahead log ([broker.<name>.wal]) on the
-    given simulated device.  A host crash then drops the in-memory
-    retained queue and a restart rebuilds it from the durable bytes —
-    events whose group commit had not completed by the crash are
-    genuinely lost, which is the honest durability window of group
-    commit.  The log is compacted (atomically rewritten to the retained
-    suffix) every 256 signals.  Without [~disk] the retained log is
-    assumed to survive crashes by fiat, as before.
+    event is appended to a {!Oasis_store.Journal} ([broker.<name>.wal],
+    checkpointed every 256 signals to [broker.<name>.snap], whose image is
+    the retained queue) on the given device.  A host crash then drops the
+    in-memory retained queue and a restart rebuilds it from the durable
+    image and log, each event exactly once and in seq order — events
+    whose group commit had not completed by the crash are genuinely lost,
+    which is the honest durability window of group commit.  Without
+    [~disk] the retained log is assumed to survive crashes by fiat, as
+    before.
 
     With [~coalesce:true], matched events are not delivered immediately:
     they are buffered per session and flushed on the next heartbeat tick as

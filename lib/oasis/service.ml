@@ -17,8 +17,7 @@ module Clock = Oasis_sim.Clock
 module Broker = Oasis_events.Broker
 module Event = Oasis_events.Event
 module Disk = Oasis_store.Disk
-module Wal = Oasis_store.Wal
-module Snapshot = Oasis_store.Snapshot
+module Journal = Oasis_store.Journal
 module Hex = Oasis_util.Hex
 
 type value = Value.t
@@ -94,17 +93,8 @@ type issued = {
 }
 
 type durable = {
-  du_disk : Disk.t;
-  du_wal : Wal.t;
-  du_snap : Snapshot.t;
-  du_snapshot_every : int;
+  du_journal : Journal.t;
   du_issued : (string, issued) Hashtbl.t;  (* marshalled local ref -> record *)
-  mutable du_appends : int;  (* WAL appends since the last snapshot *)
-  mutable du_tail : string list;
-      (* newest-first records appended since the last checkpoint's
-         serialize point — exactly what the log must still hold once that
-         checkpoint's snapshot is durable *)
-  mutable du_compacting : bool;  (* a snapshot+rewrite cycle is in flight *)
 }
 
 type t = {
@@ -117,8 +107,6 @@ type t = {
   sv_sigs : Infer.result;
   sv_role_bits : (string * int) list;
   sv_secrets : Signing.Rolling.t;
-  sv_sig_length : int;
-  sv_cache : bool;
   sv_compound : bool;
   sv_fixpoint : bool;
   sv_table : Credrec.table;
@@ -278,58 +266,26 @@ let apply_record t du line =
    paper's licence to delete records whose value is false forever — and a
    later fresh allocation of the slot bumps the magic past the dropped
    identity, so old references cannot resurrect against new records. *)
-let serialize_mirror t du =
+let serialize_mirror blacklist issued =
   let dead =
-    Hashtbl.fold (fun key i acc -> if i.i_alive then acc else key :: acc) du.du_issued []
+    Hashtbl.fold (fun key i acc -> if i.i_alive then acc else key :: acc) issued []
   in
-  List.iter (Hashtbl.remove du.du_issued) dead;
+  List.iter (Hashtbl.remove issued) dead;
   let fires =
-    Hashtbl.fold (fun key () acc -> rec_fire key :: acc) t.sv_blacklist []
+    Hashtbl.fold (fun key () acc -> rec_fire key :: acc) blacklist []
     |> List.sort String.compare
   in
   let issues =
-    Hashtbl.fold (fun key i acc -> rec_issue key i.i_deps i.i_rbrs :: acc) du.du_issued []
+    Hashtbl.fold (fun key i acc -> rec_issue key i.i_deps i.i_rbrs :: acc) issued []
     |> List.sort String.compare
   in
-  String.concat "\x1c" (fires @ issues)
-
-(* Checkpoint: serialize the mirror (covering every record up to this
-   instant), save it, then compact the log down to the records appended
-   since the serialize point — [du_tail], which keeps accumulating while
-   the snapshot write is in flight, and whose racing appends also survive
-   the rewrite's atomic replace by {!Disk.write_atomic}'s append-preserving
-   semantics.  Crash windows are safe at every step: before the snapshot
-   is durable the old snapshot + old log recover; between snapshot and
-   rewrite the new snapshot + old log recover (the log is a contiguous
-   history suffix reaching past the snapshot point, so in-order replay
-   over the snapshot converges on the pre-crash state). *)
-let maybe_snapshot t du =
-  (* Replicated services never compact: the WAL is the replica group's
-     shipped record stream, and every member's log must stay a prefix of it
-     in GLOBAL coordinates — a compacted primary and an uncompacted backup
-     would disagree about what "record #n" is.  Recovery is O(history)
-     for them; the replica protocol (tail fetch at promotion) depends on
-     exactly that full history being present. *)
-  if t.sv_repl_sync = None && du.du_appends >= du.du_snapshot_every && not du.du_compacting
-  then begin
-    du.du_appends <- 0;
-    du.du_compacting <- true;
-    du.du_tail <- [];
-    Snapshot.save du.du_snap (serialize_mirror t du) (fun () ->
-        Wal.rewrite du.du_wal (List.rev du.du_tail) (fun () -> du.du_compacting <- false))
-  end
-
-let persist_line t du line =
-  Wal.append du.du_wal line;
-  du.du_tail <- line :: du.du_tail;
-  du.du_appends <- du.du_appends + 1;
-  maybe_snapshot t du
+  fires @ issues
 
 let persist_fire t key =
-  match t.sv_durable with Some du -> persist_line t du (rec_fire key) | None -> ()
+  match t.sv_durable with Some du -> Journal.append du.du_journal (rec_fire key) | None -> ()
 
 let persist_hire t key =
-  match t.sv_durable with Some du -> persist_line t du (rec_hire key) | None -> ()
+  match t.sv_durable with Some du -> Journal.append du.du_journal (rec_hire key) | None -> ()
 
 (* Fire/re-hire acks must not outrun the WAL: if the service crashed in the
    group-commit window after replying Ok, recovery would resurrect a
@@ -342,39 +298,18 @@ let ack_when_durable t k =
   match t.sv_repl_sync with
   | Some quorum -> quorum k
   | None -> (
-      match t.sv_durable with None -> k () | Some du -> Wal.sync du.du_wal k)
+      match t.sv_durable with None -> k () | Some du -> Journal.sync du.du_journal k)
 
 (* --- replication hooks (the {!Replica} module drives these) --- *)
 
-let set_replication t ~sync = t.sv_repl_sync <- Some sync
+(* A replicated service's journal never compacts: it is the replica
+   group's shipped record stream (see {!Journal.set_replicated}). *)
+let set_replication t ~sync =
+  t.sv_repl_sync <- Some sync;
+  Option.iter (fun du -> Journal.set_replicated du.du_journal) t.sv_durable
 
-let set_ship t obs =
-  match t.sv_durable with Some du -> Wal.on_append du.du_wal obs | None -> ()
-
+let journal t = Option.map (fun du -> du.du_journal) t.sv_durable
 let set_auto_recover t b = t.sv_auto_recover <- b
-
-let durable_sync t k =
-  match t.sv_durable with None -> k () | Some du -> Wal.sync du.du_wal k
-
-let follower_append t line =
-  (* A record arriving FROM the replication stream: journal it verbatim
-     (same framing and group commit), but bypass the durable-mirror
-     bookkeeping — a backup's in-memory state is rebuilt from the log at
-     promotion time, not maintained incrementally — and bypass the ship
-     observer, so a follower never re-ships. *)
-  match t.sv_durable with None -> () | Some du -> Wal.follower_append du.du_wal line
-
-let durable_log_records t =
-  match t.sv_durable with None -> [] | Some du -> Wal.recover du.du_wal
-
-let durable_log_rewrite t records k =
-  (* Replace the WAL wholesale with a reconciled stream prefix (divergence
-     repair / promotion adoption).  Callers guarantee the group-commit
-     buffer is empty (everything durable) before rewriting, so the atomic
-     replace cannot race a buffered append.  Mirror bookkeeping is not
-     rebuilt here: only replicated services rewrite, and they never
-     compact, so the counters are inert. *)
-  match t.sv_durable with None -> k () | Some du -> Wal.rewrite du.du_wal records k
 
 let reregister t = Hashtbl.replace t.sv_registry t.sv_name t
 
@@ -392,7 +327,7 @@ let persist_invalidate t cref =
       match Hashtbl.find_opt du.du_issued key with
       | Some i when i.i_alive ->
           i.i_alive <- false;
-          persist_line t du (rec_invalidate key)
+          Journal.append du.du_journal (rec_invalidate key)
       | _ -> ())
 
 (* Root a revocation trace at an invalidation entry point: the cascade runs
@@ -453,8 +388,7 @@ let federation_linter :
 let set_federation_linter f = federation_linter := f
 
 let create net host reg ~name:sv_name ?(rolefile_id = "main") ~rolefile ?(funcs = [])
-    ?resolve_literal ?(sig_length = 16) ?(cache_validation = true)
-    ?(compound_certificates = true) ?(fixpoint_entry = false) ?(heartbeat = 1.0)
+    ?resolve_literal ?(compound_certificates = true) ?(fixpoint_entry = false) ?(heartbeat = 1.0)
     ?(batch_notifications = true) ?(sig_cache_cap = 1024) ?disk ?(snapshot_every = 128)
     ?(lint = `Warn) ?(register = true) () =
   match Parser.parse_result ?resolve_literal rolefile with
@@ -520,18 +454,16 @@ let create net host reg ~name:sv_name ?(rolefile_id = "main") ~rolefile ?(funcs 
           | Error e -> Error e
           | Ok bits ->
               let prng = Prng.create (Int64.of_int (Hashtbl.hash sv_name + 7)) in
+              let blacklist = Hashtbl.create 16 in
               let durable =
                 Option.map
                   (fun d ->
+                    let issued = Hashtbl.create 64 in
                     {
-                      du_disk = d;
-                      du_wal = Wal.create d ~file:("svc." ^ sv_name ^ ".wal") ();
-                      du_snap = Snapshot.create d ~file:("svc." ^ sv_name ^ ".snap");
-                      du_snapshot_every = snapshot_every;
-                      du_issued = Hashtbl.create 64;
-                      du_appends = 0;
-                      du_tail = [];
-                      du_compacting = false;
+                      du_journal =
+                        Journal.create d ~file:("svc." ^ sv_name) ~every:snapshot_every
+                          ~image:(fun () -> serialize_mirror blacklist issued);
+                      du_issued = issued;
                     })
                   disk
               in
@@ -546,8 +478,6 @@ let create net host reg ~name:sv_name ?(rolefile_id = "main") ~rolefile ?(funcs 
                   sv_sigs = sigs;
                   sv_role_bits = bits;
                   sv_secrets = Signing.Rolling.create prng;
-                  sv_sig_length = sig_length;
-                  sv_cache = cache_validation;
                   sv_compound = compound_certificates;
                   sv_fixpoint = fixpoint_entry;
                   sv_table = Credrec.create_table ();
@@ -560,7 +490,7 @@ let create net host reg ~name:sv_name ?(rolefile_id = "main") ~rolefile ?(funcs 
                   sv_notifying = Hashtbl.create 64;
                   sv_family = Hashtbl.create 4;
                   sv_rbr = Hashtbl.create 16;
-                  sv_blacklist = Hashtbl.create 16;
+                  sv_blacklist = blacklist;
                   sv_audit = [];
                   sv_sig_cache = Cache.create sig_cache_cap;
                   sv_batch = batch_notifications;
@@ -614,10 +544,7 @@ let create net host reg ~name:sv_name ?(rolefile_id = "main") ~rolefile ?(funcs 
                       Hashtbl.reset t.sv_pending_mods;
                       Hashtbl.reset t.sv_pending_ctx;
                       Cache.clear t.sv_sig_cache;
-                      Cache.clear t.sv_residuals;
-                      du.du_appends <- 0;
-                      du.du_tail <- [];
-                      du.du_compacting <- false);
+                      Cache.clear t.sv_residuals);
                   Net.on_restart net host (fun () -> if t.sv_auto_recover then !recover_ref t));
               (* Batched notification: record changes accumulate in
                  [sv_pending_mods] and are flushed as ONE ModifiedBatch
@@ -685,18 +612,22 @@ let arm_notification t cref =
 
 (* --- signature verification with caching (§4.2) --- *)
 
+(* Signature length in hex chars.  §4.2 lets each service trade length
+   against forgery cost; every service here signs at 16. *)
+let sig_length = 16
+
 let verify_rmc_sig t cert =
   let key = cert.Cert.rmc_sig ^ "|" ^ Cert.rmc_payload cert in
-  if t.sv_cache && Cache.find t.sv_sig_cache key <> None then begin
+  if Cache.find t.sv_sig_cache key <> None then begin
     t.sv_cache_hits <- t.sv_cache_hits + 1;
     Stats.incr (stats t) "oasis.sigcache.hit";
     true
   end
   else begin
     t.sv_crypto_checks <- t.sv_crypto_checks + 1;
-    if t.sv_cache then Stats.incr (stats t) "oasis.sigcache.miss";
-    let ok = Cert.verify_rmc ~length:t.sv_sig_length t.sv_secrets cert in
-    if ok && t.sv_cache then Cache.set t.sv_sig_cache key ();
+    Stats.incr (stats t) "oasis.sigcache.miss";
+    let ok = Cert.verify_rmc ~length:sig_length t.sv_secrets cert in
+    if ok then Cache.set t.sv_sig_cache key ();
     ok
   end
 
@@ -1410,7 +1341,7 @@ let persist_issue t ~crr ~deps ~rbrs =
         let deps = List.sort_uniq compare deps in
         let rbrs = List.sort_uniq compare rbrs in
         Hashtbl.replace du.du_issued key { i_alive = true; i_deps = deps; i_rbrs = rbrs };
-        persist_line t du (rec_issue key deps rbrs)
+        Journal.append du.du_journal (rec_issue key deps rbrs)
       end
 
 let issue_cert t ?(deps = []) ?(rbrs = []) ~client ~roles ~args ~crr () =
@@ -1436,7 +1367,7 @@ let issue_cert t ?(deps = []) ?(rbrs = []) ~client ~roles ~args ~crr () =
       rmc_sig = "";
     }
   in
-  Cert.sign_rmc t.sv_secrets ~length:t.sv_sig_length cert
+  Cert.sign_rmc t.sv_secrets ~length:sig_length cert
 
 (* Sequentially run an async action over a list. *)
 let rec seq_map f list k =
@@ -1539,7 +1470,7 @@ let request_entry t ~client_host ~client ~role ?args ?(creds = []) ?delegation k
             | None -> Ok None
             | Some d ->
                 if not (String.equal d.Cert.d_service t.sv_name) then Error "delegation for another service"
-                else if not (Cert.verify_delegation ~length:t.sv_sig_length t.sv_secrets d) then
+                else if not (Cert.verify_delegation ~length:sig_length t.sv_secrets d) then
                   Error "bad delegation signature"
                 else (
                   match d.Cert.d_expires with
@@ -1691,7 +1622,7 @@ let request_delegation t ~client_host ~delegator ~using ~role ~required ?expires
                   d_sig = "";
                 }
               in
-              let d = Cert.sign_delegation t.sv_secrets ~length:t.sv_sig_length d in
+              let d = Cert.sign_delegation t.sv_secrets ~length:sig_length d in
               let r =
                 {
                   Cert.r_service = t.sv_name;
@@ -1701,7 +1632,7 @@ let request_delegation t ~client_host ~delegator ~using ~role ~required ?expires
                   r_sig = "";
                 }
               in
-              let r = Cert.sign_revocation t.sv_secrets ~length:t.sv_sig_length r in
+              let r = Cert.sign_revocation t.sv_secrets ~length:sig_length r in
               audit t Delegation
                 (Printf.sprintf "%s delegated %s" (Principal.vci_to_string delegator) role);
               reply (Ok (d, r)))))
@@ -1714,7 +1645,7 @@ let request_revocation t ~client_host (rcert : Cert.revocation) k =
       in
       if not (String.equal rcert.Cert.r_service t.sv_name) then
         reply (Error "revocation certificate for another service")
-      else if not (Cert.verify_revocation ~length:t.sv_sig_length t.sv_secrets rcert) then begin
+      else if not (Cert.verify_revocation ~length:sig_length t.sv_secrets rcert) then begin
         audit t Fraud "forged revocation certificate";
         reply (Error "bad revocation signature")
       end
@@ -1931,7 +1862,7 @@ let mint_delegation_record t ~delegator_crr ?expires_in ?(revoke_on_exit = false
       r_sig = "";
     }
   in
-  (d_crr, Cert.sign_revocation t.sv_secrets ~length:t.sv_sig_length r)
+  (d_crr, Cert.sign_revocation t.sv_secrets ~length:sig_length r)
 
 let revoke_certificate t (cert : Cert.rmc) =
   invalidate_traced t ~reason:"certificate" cert.Cert.crr
@@ -1948,7 +1879,7 @@ let delegate_revocation t ~client_host ~rcert ~to_cert k =
       in
       if not (String.equal rcert.Cert.r_service t.sv_name) then
         reply (Error "revocation certificate for another service")
-      else if not (Cert.verify_revocation ~length:t.sv_sig_length t.sv_secrets rcert) then
+      else if not (Cert.verify_revocation ~length:sig_length t.sv_secrets rcert) then
         reply (Error "bad revocation signature")
       else if String.equal rcert.Cert.r_role "" then
         reply (Error "this revocation certificate cannot be re-delegated")
@@ -1970,7 +1901,7 @@ let delegate_revocation t ~client_host ~rcert ~to_cert k =
           }
         in
         audit t Delegation ("revocation right re-delegated for role " ^ rcert.Cert.r_role);
-        reply (Ok (Cert.sign_revocation t.sv_secrets ~length:t.sv_sig_length fresh))
+        reply (Ok (Cert.sign_revocation t.sv_secrets ~length:sig_length fresh))
       end)
 
 (* --- crash recovery (the restart hook registered in [create]) --- *)
@@ -1998,11 +1929,8 @@ let recover ?on_done t =
   match t.sv_durable with
   | None -> Option.iter (fun k -> k ()) on_done
   | Some du ->
-      let disk = du.du_disk in
-      let bytes =
-        Disk.durable_size disk ~file:(Wal.file du.du_wal)
-        + Disk.durable_size disk ~file:(Snapshot.file du.du_snap)
-      in
+      let disk = Journal.disk du.du_journal in
+      let bytes = Journal.durable_bytes du.du_journal in
       let tr = tracer t in
       let sp = Trace.start tr "oasis.recover.e2e" in
       Trace.add_attr sp "bytes" (string_of_int bytes);
@@ -2013,13 +1941,8 @@ let recover ?on_done t =
              Trace.with_ctx tr
                (Some (Trace.ctx_of sp))
                (fun () ->
-                 let snap_records =
-                   match Snapshot.load du.du_snap with
-                   | None | Some "" -> []
-                   | Some payload -> String.split_on_char '\x1c' payload
-                 in
-                 let log_records = Wal.recover du.du_wal in
-                 List.iter (apply_record t du) (snap_records @ log_records);
+                 let records = Journal.records du.du_journal in
+                 List.iter (apply_record t du) records;
                  let keys =
                    Hashtbl.fold (fun k _ acc -> k :: acc) du.du_issued []
                    |> List.sort String.compare
@@ -2111,8 +2034,7 @@ let recover ?on_done t =
                              if not pl.pl_rereading then reread_pending t pl peer session))
                    t.sv_peers;
                  Stats.incr (stats t) "oasis.recover";
-                 Stats.observe (stats t) "oasis.recover.records"
-                   (List.length snap_records + List.length log_records)));
+                 Stats.observe (stats t) "oasis.recover.records" (List.length records)));
           Trace.finish tr sp;
           Stats.observe_latency (stats t) "oasis.recover.e2e"
             (Engine.now (Net.engine t.sv_net) -. t0);
@@ -2133,7 +2055,7 @@ let durable_issued t =
   | Some du -> Hashtbl.fold (fun _ i n -> if i.i_alive then n + 1 else n) du.du_issued 0
 
 let durable_flush t =
-  match t.sv_durable with None -> () | Some du -> Wal.flush du.du_wal
+  match t.sv_durable with None -> () | Some du -> Journal.flush du.du_journal
 
 let blacklisted t ~role ~args = Hashtbl.mem t.sv_blacklist (blacklist_key role args)
 
@@ -2165,5 +2087,5 @@ let fingerprint t =
            (fun k i acc -> (k ^ if i.i_alive then "+" else "-") :: acc)
            du.du_issued []);
       Buffer.add_char b '\x03';
-      Buffer.add_string b (Int64.to_string (Disk.fingerprint du.du_disk)));
+      Buffer.add_string b (Int64.to_string (Disk.fingerprint (Journal.disk du.du_journal))));
   Oasis_util.Siphash.hash fp_key (Buffer.contents b)

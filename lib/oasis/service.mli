@@ -34,8 +34,6 @@ val create :
   rolefile:string ->
   ?funcs:(string * (value list -> (value, string) result)) list ->
   ?resolve_literal:(string -> value option) ->
-  ?sig_length:int ->
-  ?cache_validation:bool ->
   ?compound_certificates:bool ->
   ?fixpoint_entry:bool ->
   ?heartbeat:float ->
@@ -59,10 +57,10 @@ val create :
     already registered services plus the candidate, restricted to the
     diagnostics anchored at the candidate itself.
 
-    [sig_length]: signature length in hex chars (§4.2's per-service
-    trade-off; default 16).  [cache_validation]: cache signature checks
-    (default true).  [compound_certificates]: fold same-argument roles
-    entered in one request into one certificate (§4.3; default true).
+    Signatures are 16 hex chars (§4.2's per-service trade-off, fixed
+    here) and signature checks are cached.  [compound_certificates]: fold
+    same-argument roles entered in one request into one certificate (§4.3;
+    default true).
     [fixpoint_entry]: ablation switch — iterate statement application to a
     fixpoint instead of the paper's single in-order pass (default false).
     [heartbeat]: period of this service's broker heartbeats (default 1s).
@@ -75,8 +73,9 @@ val create :
 
     [disk] enables the durable-state plane: the §4.11 hire/fire databases
     and issued certificates (with their dependency lists) are journalled
-    to a write-ahead log on the given stable-storage device, checkpointed
-    every [snapshot_every] (default 128) appends, and replayed after a
+    ({!Oasis_store.Journal}, files [svc.<name>.wal] and [svc.<name>.snap})
+    on the given stable-storage device, checkpointed every
+    [snapshot_every] (default 128) appends, and replayed after a
     host crash+restart — restored certificates resolve again, externals
     re-mirror at [Unknown] until the reread machinery heals them, and
     fired instances stay fired.  The broker's retained event log rides
@@ -330,12 +329,9 @@ val recover : ?on_done:(unit -> unit) -> t -> unit
 val set_replication : t -> sync:((unit -> unit) -> unit) -> unit
 (** Install the quorum hook: {e every} client ack that previously rode the
     local group commit ([ack_when_durable]) now rides [sync] instead.
-    Also disables log compaction — the WAL must remain the full stream in
-    global record coordinates (see DESIGN.md). *)
-
-val set_ship : t -> (string -> unit) option -> unit
-(** Install (or clear) the WAL ship observer ({!Oasis_store.Wal.on_append})
-    on this service's log.  Only the group's current primary carries it. *)
+    Also stops the journal checkpointing ({!Oasis_store.Journal.set_replicated}):
+    the WAL must remain the full stream in global record coordinates (see
+    DESIGN.md). *)
 
 val set_auto_recover : t -> bool -> unit
 (** Whether the host-restart hook replays the log automatically (default
@@ -343,27 +339,14 @@ val set_auto_recover : t -> bool -> unit
     recovers through the epoch/promotion protocol, which must fetch any
     missing log suffix from its peers {e before} replaying. *)
 
-val durable_sync : t -> (unit -> unit) -> unit
-(** Run the callback once everything appended to the local WAL so far is
-    durable (the raw, single-host flavour of [ack_when_durable]). *)
-
-val follower_append : t -> string -> unit
-(** Journal one record shipped from the primary's stream: same framing and
-    group commit as a local append, but invisible to the ship observer and
-    to the snapshot bookkeeping. *)
-
-val durable_log_records : t -> string list
-(** The durable (synced) prefix of this service's WAL, decoded.  At
-    quiescence a backup's list is a prefix of the primary's stream — the
-    log-shipping invariant the replication tests assert. *)
-
-val durable_log_rewrite : t -> string list -> (unit -> unit) -> unit
-(** Atomically replace the WAL's contents with exactly [records] and run
-    the callback once the replacement is durable.  Replication repair only:
-    a rejoining member whose log diverged from the stream (an old epoch's
-    unacked tail) is rewritten to a true stream prefix, and a promotion
-    adopts the winning log wholesale.  The caller must have synced the
-    group-commit buffer first. *)
+val journal : t -> Oasis_store.Journal.t option
+(** This service's durability journal ([None] without [disk]).  A replica
+    group drives it directly: the primary's ship observer
+    ({!Oasis_store.Journal.set_ship}), a backup's
+    {!Oasis_store.Journal.follower_append}, and log repair by
+    {!Oasis_store.Journal.log_records} / {!Oasis_store.Journal.rewrite}.
+    At quiescence a backup's log records are a prefix of the primary's
+    stream — the log-shipping invariant the replication tests assert. *)
 
 val reregister : t -> unit
 (** (Re-)install this service in the registry under its name — how a

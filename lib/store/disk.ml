@@ -27,7 +27,6 @@ type ops = {
   o_append : file:string -> string -> unit;
   o_fsync : file:string -> (unit -> unit) -> unit;
   o_write_atomic : file:string -> string -> (unit -> unit) -> unit;
-  o_truncate : file:string -> unit;
   o_read : file:string -> string;
   o_durable_size : file:string -> int;
   o_unsynced : file:string -> int;
@@ -168,15 +167,6 @@ let write_atomic t ~file:name data k =
               k ()
             end)
       end
-
-let truncate t ~file:name =
-  (match t.d_impl with
-  | Ops o -> o.o_truncate ~file:name
-  | Sim s ->
-      let f = file s name in
-      f.data <- Buffer.create 256;
-      f.synced <- 0);
-  Stats.incr (stats t) "store.truncate"
 
 let read t ~file:name =
   match t.d_impl with

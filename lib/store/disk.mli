@@ -39,7 +39,6 @@ type ops = {
   o_append : file:string -> string -> unit;
   o_fsync : file:string -> (unit -> unit) -> unit;
   o_write_atomic : file:string -> string -> (unit -> unit) -> unit;
-  o_truncate : file:string -> unit;
   o_read : file:string -> string;
   o_durable_size : file:string -> int;
   o_unsynced : file:string -> int;
@@ -85,11 +84,8 @@ val write_atomic : t -> file:string -> string -> (unit -> unit) -> unit
     old contents remain; a crash before completion leaves the old
     contents intact, never a mixture.  Bytes appended while the write is
     in flight survive after the new contents, so compacting a live log
-    cannot drop racing appends.  Used for snapshots and log rewrites. *)
-
-val truncate : t -> file:string -> unit
-(** Discard [file]'s contents, durable and buffered.  Immediate; the
-    caller sequences it after the snapshot write it depends on. *)
+    cannot drop racing appends.  Used for checkpoint images and log
+    rewrites. *)
 
 val read : t -> file:string -> string
 (** Current durable contents (after a crash this includes any torn tail

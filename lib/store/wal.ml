@@ -8,7 +8,6 @@ type t = {
   w_file : string;
   w_key : Siphash.key;
   w_interval : float;
-  w_flush_bytes : int;
   w_fsync_each : bool;
   mutable w_pending_bytes : int;
   mutable w_pending_records : int;
@@ -66,15 +65,16 @@ let decode bytes = decode_with ~key:"" bytes
 
 let stats t = Net.stats (Disk.net t.w_disk)
 
-let create disk ~file ?(flush_interval = 0.05) ?(flush_bytes = 16384) ?(fsync_each = false) ()
-    =
+(* Pending bytes that force the group commit before its timer fires. *)
+let flush_bytes = 16384
+
+let create disk ~file ?(flush_interval = 0.05) ?(fsync_each = false) () =
   let t =
     {
       w_disk = disk;
       w_file = file;
       w_key = key_for file;
       w_interval = flush_interval;
-      w_flush_bytes = flush_bytes;
       w_fsync_each = fsync_each;
       w_pending_bytes = 0;
       w_pending_records = 0;
@@ -116,7 +116,7 @@ let append_common t ?on_durable ~notify payload =
   (match on_durable with Some k -> t.w_on_durable <- k :: t.w_on_durable | None -> ());
   Stats.observe (stats t) "store.wal.append" (String.length framed);
   (if notify then match t.w_observer with Some obs -> obs payload | None -> ());
-  if t.w_fsync_each || t.w_pending_bytes >= t.w_flush_bytes then flush t
+  if t.w_fsync_each || t.w_pending_bytes >= flush_bytes then flush t
   else if not t.w_armed then begin
     (* One-shot arming: the first uncommitted append starts the clock; the
        tick commits everything that accumulated behind it. *)
@@ -140,12 +140,6 @@ let sync t k =
     t.w_on_durable <- k :: t.w_on_durable;
     flush t
   end
-
-let truncate t =
-  t.w_pending_bytes <- 0;
-  t.w_pending_records <- 0;
-  t.w_on_durable <- [];
-  Disk.truncate t.w_disk ~file:t.w_file
 
 let rewrite t records k =
   (* Buffered APPENDS may legally race a rewrite (the compacting callers

@@ -10,7 +10,7 @@
 
     {b Group commit}: appends land in the device's write buffer immediately,
     but the fsync making them durable is coalesced — it fires when the
-    pending bytes cross [flush_bytes], or on a timer [flush_interval] after
+    pending bytes cross 16 KiB, or on a timer [flush_interval] after
     the first uncommitted append, whichever comes first (mirroring the
     broker's heartbeat batching: many logical writes, one physical flush).
     [fsync_each:true] degrades to one fsync per append, the baseline the
@@ -26,12 +26,10 @@ val create :
   Disk.t ->
   file:string ->
   ?flush_interval:float ->
-  ?flush_bytes:int ->
   ?fsync_each:bool ->
   unit ->
   t
-(** Defaults: [flush_interval] 0.05 s, [flush_bytes] 16384, [fsync_each]
-    false. *)
+(** Defaults: [flush_interval] 0.05 s, [fsync_each] false. *)
 
 val file : t -> string
 val disk : t -> Disk.t
@@ -60,9 +58,6 @@ val sync : t -> (unit -> unit) -> unit
 (** Run the callback once everything appended so far is durable (flushes
     if needed; fires immediately when nothing is pending). *)
 
-val truncate : t -> unit
-(** Drop the log's contents (after a snapshot made them redundant). *)
-
 val rewrite : t -> string list -> (unit -> unit) -> unit
 (** Atomically replace the log's contents with exactly [records]
     (compaction).  Crash-safe: until the atomic write completes the old log
@@ -73,7 +68,7 @@ val rewrite : t -> string list -> (unit -> unit) -> unit
     the call raises [Invalid_argument] unless the caller {!sync}ed first. *)
 
 val appended : t -> int
-(** Records appended over this log's lifetime (not reset by truncation). *)
+(** Records appended over this log's lifetime (not reset by a rewrite). *)
 
 val recover : t -> string list
 (** Decode the durable contents; records the scan in [store.recover]

@@ -17,6 +17,7 @@ module Prng = Oasis_util.Prng
 module Service = Oasis_core.Service
 module Shard = Oasis_core.Shard
 module Replica = Oasis_core.Replica
+module Journal = Oasis_store.Journal
 module Principal = Oasis_core.Principal
 module Cert = Oasis_core.Cert
 module V = Oasis_rdl.Value
@@ -497,6 +498,8 @@ let is_prefix xs ys =
   in
   go (xs, ys)
 
+let journal svc = Option.get (Service.journal svc)
+
 (* The log-shipping invariant, checked at quiescence: every live member's
    durable WAL is a prefix of its group's record stream. *)
 let assert_stream_prefixes w club label =
@@ -509,7 +512,7 @@ let assert_stream_prefixes w club label =
             checkb
               (Printf.sprintf "%s: shard %d replica %d log is a stream prefix" label i j)
               true
-              (is_prefix (Service.durable_log_records svc) stream))
+              (is_prefix (Journal.log_records (journal svc)) stream))
         (Replica.members g))
     (Shard.replica_groups club)
 
@@ -589,7 +592,7 @@ let test_repair_divergence_past_first_batch () =
   List.iteri
     (fun j svc ->
       let log = if j = Replica.primary_index g then padded @ junk else padded in
-      Service.durable_log_rewrite svc log (fun () -> incr rewrote))
+      Journal.rewrite (journal svc) log (fun () -> incr rewrote))
     (Replica.members g);
   srun w 2.0;
   checki "all three logs rewritten" 3 !rewrote;
@@ -602,7 +605,7 @@ let test_repair_divergence_past_first_batch () =
   Fault.restart f (Net.host_addr (Service.host old_primary));
   srun w 3.0;
   quiesce ();
-  let rejoined = Service.durable_log_records old_primary in
+  let rejoined = Journal.log_records (journal old_primary) in
   checkb "ex-primary's junk tail was repaired away" true
     (not (List.exists (fun r -> String.length r >= 1 && r.[0] = 'D') rejoined));
   checkb "ex-primary's log is a stream prefix again" true

@@ -1,6 +1,7 @@
 (* The durable-state plane: simulated stable storage, the write-ahead log
-   with group commit and checksum framing, snapshots, and crash recovery of
-   services (§4.11 databases + issued memberships).
+   with group commit and checksum framing, the journal's checkpoints and
+   their crash windows, and crash recovery of services and brokers (§4.11
+   databases + issued memberships, retained events).
 
    Everything runs on the deterministic simulator: crashes tear the log at
    seeded points, so a failing case replays exactly. *)
@@ -11,7 +12,9 @@ module Stats = Oasis_sim.Stats
 module Prng = Oasis_util.Prng
 module Disk = Oasis_store.Disk
 module Wal = Oasis_store.Wal
-module Snapshot = Oasis_store.Snapshot
+module Journal = Oasis_store.Journal
+module Broker = Oasis_events.Broker
+module Event = Oasis_events.Event
 module Service = Oasis_core.Service
 module Group = Oasis_core.Group
 module Principal = Oasis_core.Principal
@@ -167,45 +170,173 @@ let test_wal_decoder_fuzz () =
     checkb "other file's key rejects all" true (Wal.decode_with ~key:"other" mutated = [])
   done
 
-(* --- snapshots --- *)
+(* --- journal checkpoints --- *)
+
+(* A journal over a list of records whose image is everything put so far,
+   checkpointing every [every] puts. *)
+let list_journal w ~every =
+  let applied = ref [] in
+  let j = Journal.create w.disk ~file:"j" ~every ~image:(fun () -> List.rev !applied) in
+  let put r =
+    applied := r :: !applied;
+    Journal.append j r
+  in
+  (j, applied, put)
 
 let test_snapshot_atomic_across_crash () =
   let w = make_dworld ~seed:9L () in
-  let snap = Snapshot.create w.disk ~file:"snap" in
-  checkb "empty before first save" true (Snapshot.load snap = None);
-  Snapshot.save snap "state-v1" (fun () -> ());
+  let state = ref [] in
+  let j = Journal.create w.disk ~file:"j" ~every:1 ~image:(fun () -> !state) in
+  checkb "empty before the first checkpoint" true (Journal.records j = []);
+  state := [ "state-v1" ];
+  Journal.append j "a";
   drun w 1.0;
-  checkb "v1 loads" true (Snapshot.load snap = Some "state-v1");
-  (* Crash while the second save is in flight: the old image survives
-     whole — never a torn mixture. *)
-  Snapshot.save snap "state-v2-much-longer-payload" (fun () -> ());
+  checkb "v1 image loads, log compacted" true (Journal.records j = [ "state-v1" ]);
+  (* Crash while the second image write is in flight: the old image
+     survives whole — never a torn mixture. *)
+  state := [ "state-v2-much-longer-payload" ];
+  Journal.append j "b";
   Net.crash_host w.net w.host;
   drun w 1.0;
   Net.restart_host w.net w.host;
-  checkb "old snapshot intact after crashed save" true (Snapshot.load snap = Some "state-v1");
-  Snapshot.save snap "state-v3" (fun () -> ());
+  (match Journal.records j with
+  | "state-v1" :: log ->
+      checkb "old image intact after crashed save" true (log = [] || log = [ "b" ])
+  | _ -> Alcotest.fail "old image lost after a crashed save");
+  state := [ "state-v3" ];
+  Journal.append j "c";
   drun w 1.0;
-  checkb "fresh save replaces it" true (Snapshot.load snap = Some "state-v3")
+  checkb "fresh checkpoint replaces it" true (Journal.records j = [ "state-v3" ])
 
 let test_snapshot_bounds_replay () =
   let w = make_dworld () in
-  let wal = Wal.create w.disk ~file:"log" () in
-  let snap = Snapshot.create w.disk ~file:"snap" in
-  List.iter (fun r -> Wal.append wal r) [ "a"; "b"; "c" ];
-  Wal.sync wal (fun () -> ());
+  let j, _, put = list_journal w ~every:3 in
+  List.iter put [ "a"; "b"; "c" ];
   drun w 1.0;
-  (* Checkpoint: image covers a,b,c; the log restarts empty. *)
-  let truncated = ref false in
-  Snapshot.save snap "a|b|c" (fun () ->
-      Wal.truncate wal;
-      truncated := true);
+  (* The third put checkpointed: the image covers a,b,c; the log restarts
+     empty. *)
+  checkb "log compacted after the durable image" true (Journal.log_records j = []);
+  List.iter put [ "d"; "e" ];
+  Journal.sync j (fun () -> ());
   drun w 1.0;
-  checkb "log truncated after durable snapshot" true !truncated;
-  List.iter (fun r -> Wal.append wal r) [ "d"; "e" ];
-  Wal.sync wal (fun () -> ());
+  checkb "image + suffix" true
+    (Journal.records j = [ "a"; "b"; "c"; "d"; "e" ] && Journal.log_records j = [ "d"; "e" ]);
+  checki "one image written" 1 (Stats.count (Net.stats w.net) "store.snapshot")
+
+(* Step the engine one event at a time until [p] holds. *)
+let step_until w p =
+  while not (p ()) do
+    if not (Engine.step w.engine) then Alcotest.fail "engine drained before the crash point"
+  done
+
+(* The checkpoint's three crash windows, over an upsert mirror: before the
+   new image is durable (old image + old log), between image and log
+   rewrite (new image + old log, which repeats what the image holds), and
+   after the rewrite (new image + tail).  Every window must replay to the
+   same mirror. *)
+let test_journal_crash_windows () =
+  let puts =
+    [ ("a", "1"); ("b", "1"); ("c", "1"); ("a", "2") ]
+    @ [ ("b", "2"); ("d", "1"); ("a", "3"); ("e", "1") ]
+  in
+  let expected = [ ("a", "3"); ("b", "2"); ("c", "1"); ("d", "1"); ("e", "1") ] in
+  let replay records =
+    let m = Hashtbl.create 8 in
+    List.iter
+      (fun r ->
+        match String.split_on_char '=' r with [ k; v ] -> Hashtbl.replace m k v | _ -> ())
+      records;
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [] |> List.sort compare
+  in
+  let mirror_after crash_point =
+    let w = make_dworld ~seed:11L () in
+    let mirror = Hashtbl.create 8 in
+    let image () =
+      Hashtbl.fold (fun k v acc -> (k ^ "=" ^ v) :: acc) mirror [] |> List.sort String.compare
+    in
+    let j = Journal.create w.disk ~file:"j" ~every:4 ~image in
+    let put (k, v) =
+      Hashtbl.replace mirror k v;
+      Journal.append j (k ^ "=" ^ v)
+    in
+    let snap_bytes () = Disk.durable_size w.disk ~file:"j.snap" in
+    (* The first four puts checkpoint once, completely. *)
+    List.iteri (fun i kv -> if i < 4 then put kv) puts;
+    drun w 1.0;
+    let first_image = snap_bytes () in
+    (* The next three are durable in the log only; the eighth triggers the
+       second checkpoint, and its own log record is synced. *)
+    List.iteri (fun i kv -> if i >= 4 && i < 7 then put kv) puts;
+    Journal.sync j (fun () -> ());
+    drun w 1.0;
+    let log_durable = ref false in
+    put (List.nth puts 7);
+    Journal.sync j (fun () -> log_durable := true);
+    (match crash_point with
+    | `Before_image ->
+        step_until w (fun () -> !log_durable);
+        checkb "image not yet durable" true (snap_bytes () = first_image)
+    | `Between ->
+        step_until w (fun () -> !log_durable && snap_bytes () <> first_image);
+        checki "log not yet rewritten" 4 (List.length (Journal.log_records j))
+    | `After ->
+        drun w 1.0;
+        checki "log rewritten to the empty tail" 0 (List.length (Journal.log_records j)));
+    Net.crash_host w.net w.host;
+    drun w 1.0;
+    Net.restart_host w.net w.host;
+    replay (Journal.records j)
+  in
+  List.iter
+    (fun (label, point) ->
+      checkb (label ^ ": replay reaches the pre-crash mirror") true (mirror_after point = expected))
+    [
+      ("before image", `Before_image);
+      ("between image and rewrite", `Between);
+      ("after rewrite", `After);
+    ]
+
+(* The broker's retained events are not idempotent upserts: a crash between
+   its checkpoint's image save and log rewrite recovers the image AND the
+   old log holding the same events.  The restart must keep each event once,
+   in seq order, and a retrospective registration must deliver each once. *)
+let test_broker_checkpoint_crash_window () =
+  let w = make_dworld ~seed:12L () in
+  let client_host = Net.add_host w.net "client" in
+  let srv = Broker.create_server w.net w.host ~name:"b" ~disk:w.disk () in
+  let signal () = ignore (Broker.signal srv "E" [ V.Int 0 ]) in
+  for _ = 1 to 255 do
+    signal ()
+  done;
+  drun w 0.5;
+  checki "no checkpoint before 256 appends" 0 (Stats.count (Net.stats w.net) "store.snapshot");
+  (* The 256th append starts the checkpoint; a few more land in its tail. *)
+  for _ = 1 to 5 do
+    signal ()
+  done;
+  checki "checkpoint started" 1 (Stats.count (Net.stats w.net) "store.snapshot");
+  let wal_records () =
+    Wal.decode_with ~key:"broker.b.wal" (Disk.read w.disk ~file:"broker.b.wal")
+  in
+  step_until w (fun () -> Disk.durable_size w.disk ~file:"broker.b.snap" > 0);
+  checki "old log still in place" 255 (List.length (wal_records ()));
+  Net.crash_host w.net w.host;
   drun w 1.0;
-  checkb "snapshot + suffix" true
-    (Snapshot.load snap = Some "a|b|c" && Wal.recover wal = [ "d"; "e" ])
+  Net.restart_host w.net w.host;
+  let retained = Broker.server_retained srv in
+  checkb "the image's 256 events survive" true (retained >= 256 && retained <= 260);
+  let got = ref [] in
+  Broker.connect w.net client_host srv
+    ~on_result:(function
+      | Ok s ->
+          ignore
+            (Broker.register s ~since:0.0 (Event.template "E" [ Event.Any ]) (fun e ->
+                 got := e.Event.seq :: !got))
+      | Error e -> Alcotest.failf "connect: %s" e)
+    ();
+  drun w 2.0;
+  checkb "retrospective registration delivers each event once, in seq order" true
+    (List.rev !got = List.init retained Fun.id)
 
 (* --- service recovery (§4.11 persistence) --- *)
 
@@ -437,6 +568,13 @@ let () =
         [
           Alcotest.test_case "atomic across crash" `Quick test_snapshot_atomic_across_crash;
           Alcotest.test_case "bounds replay to the log suffix" `Quick test_snapshot_bounds_replay;
+        ] );
+      ( "journal",
+        [
+          Alcotest.test_case "every checkpoint crash window replays the same mirror" `Quick
+            test_journal_crash_windows;
+          Alcotest.test_case "broker crash between image and rewrite keeps events once" `Quick
+            test_broker_checkpoint_crash_window;
         ] );
       ( "service-recovery",
         [
