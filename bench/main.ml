@@ -4,78 +4,12 @@
    outcomes are recorded in EXPERIMENTS.md.
 
    Usage: dune exec bench/main.exe            -- run everything
-          dune exec bench/main.exe -- e1 e5   -- run selected experiments *)
+          dune exec bench/main.exe -- e1 e5   -- run selected experiments
 
-module Engine = Oasis_sim.Engine
-module Net = Oasis_sim.Net
-module Stats = Oasis_sim.Stats
-module Trace = Oasis_sim.Trace
-module Service = Oasis_core.Service
-module Cert = Oasis_core.Cert
-module Credrec = Oasis_core.Credrec
-module Group = Oasis_core.Group
-module Principal = Oasis_core.Principal
-module Baseline = Oasis_core.Baseline
-module Event = Oasis_events.Event
-module Broker = Oasis_events.Broker
-module Broker_io = Oasis_events.Broker_io
-module Bead = Oasis_events.Bead
-module Composite = Oasis_events.Composite
-module Local_io = Oasis_events.Local_io
-module Globalview = Oasis_events.Globalview
-module Custode = Oasis_mssa.Custode
-module Vac = Oasis_mssa.Vac
-module Bypass = Oasis_mssa.Bypass
-module Site = Oasis_badge.Site
-module Workload = Oasis_badge.Workload
-module Disk = Oasis_store.Disk
-module Wal = Oasis_store.Wal
-module J = Oasis_util.Json
-module V = Oasis_rdl.Value
+   Long sweeps read their sizes from OASIS_E15_* .. OASIS_E23_* variables;
+   .claude/skills/verify/SKILL.md lists every one with its CI smoke value. *)
 
-let header title = Printf.printf "\n=== %s ===\n" title
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-let row fmt = Printf.printf fmt
-
-let fresh_vci =
-  let host = Principal.Host.create "benchclient" in
-  let domain = Principal.Host.boot_domain host in
-  fun () -> Principal.Host.new_vci host domain
-
-type world = {
-  engine : Engine.t;
-  net : Net.t;
-  reg : Service.registry;
-  client_host : Net.host;
-  mutable nhosts : int;
-}
-
-let make_world ?(latency = Net.Fixed 0.005) () =
-  let engine = Engine.create () in
-  let net = Net.create ~latency engine in
-  let client_host = Net.add_host net "client" in
-  { engine; net; reg = Service.create_registry (); client_host; nhosts = 0 }
-
-let add_host w =
-  w.nhosts <- w.nhosts + 1;
-  Net.add_host w.net (Printf.sprintf "bh%d" w.nhosts)
-
-let service ?batch w ~name ~rolefile =
-  Result.get_ok (Service.create w.net (add_host w) w.reg ~name ~rolefile ?batch_notifications:batch ())
-
-let run_for w dt = Engine.run ~until:(Engine.now w.engine +. dt) w.engine
-
-let login_rolefile = {|
-def LoggedOn(u, h) u: String h: String
-LoggedOn(u, h) <-
-|}
+open Harness
 
 (* ------------------------------------------------------------------ *)
 (* E1 — fig 4.4 vs 4.5: validation cost vs delegation-chain depth      *)
@@ -100,7 +34,8 @@ let e1 () =
       let svc =
         service w ~name:"Meet"
           ~rolefile:{|
-def Member()
+Convener <-
+Member <- Convener
 Member <- <|* Member
 |}
       in
@@ -110,18 +45,16 @@ Member <- <|* Member
       in
       for _ = 1 to depth - 1 do
         let next = fresh_vci () in
-        let d = ref None in
-        Service.request_delegation svc ~client_host:w.client_host ~delegator:!holder
-          ~using:!cert ~role:"Member" ~required:[]
-          (function Ok (dc, _) -> d := Some dc | Error e -> failwith e);
-        run_for w 1.0;
-        let got = ref None in
-        Service.request_entry svc ~client_host:w.client_host ~client:next ~role:"Member"
-          ~delegation:(Option.get !d)
-          (function Ok c -> got := Some c | Error e -> failwith e);
-        run_for w 1.0;
+        let d, _ =
+          await w 1.0 "e1 delegation"
+            (Service.request_delegation svc ~client_host:w.client_host ~delegator:!holder
+               ~using:!cert ~role:"Member" ~required:[])
+        in
         holder := next;
-        cert := Option.get !got
+        cert :=
+          await w 1.0 "e1 entry"
+            (Service.request_entry svc ~client_host:w.client_host ~client:next ~role:"Member"
+               ~delegation:d)
       done;
       let c1 = Service.crypto_checks svc in
       assert (Service.validate svc ~client:!holder !cert = Ok ());
@@ -168,10 +101,7 @@ Member(u) <- Login.LoggedOn(u, h)*
 |} in
       for i = 1 to n do
         let vci = fresh_vci () in
-        let lc =
-          Service.issue_arbitrary login ~client:vci ~roles:[ "LoggedOn" ]
-            ~args:[ V.Str (Printf.sprintf "u%d" i); V.Str "h" ]
-        in
+        let lc = logged_on login ~client:vci (Printf.sprintf "u%d" i) "h" in
         Service.request_entry conf ~client_host:w2.client_host ~client:vci ~role:"Member"
           ~creds:[ lc ]
           (fun _ -> ())
@@ -199,6 +129,13 @@ Member(u) <- Login.LoggedOn(u, h)*
 (* E3 — fig 5.8: custode bypassing                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* A UseAcl certificate for [user] at [cust], granted on a fresh login. *)
+let custode_access w login cust user acl =
+  let client = fresh_vci () in
+  let lc = logged_on login ~client user "h" in
+  await w 1.0 "access"
+    (Custode.request_access cust ~client_host:w.client_host ~client ~login:lc ~acl)
+
 let e3 () =
   header "E3: MSSA operation latency through a custode stack (fig 5.8)";
   row "%6s  %14s  %14s  %14s\n" "depth" "via stack (ms)" "bypass cold" "bypass warm";
@@ -207,32 +144,21 @@ let e3 () =
       let w = make_world () in
       let login = service w ~name:"Login" ~rolefile:login_rolefile in
       let bottom =
-        Result.get_ok (Custode.create w.net (add_host w) w.reg ~name:"Bottom" ~admins:[ "root" ] ())
+        ok "custode" (Custode.create w.net (add_host w) w.reg ~name:"Bottom" ~admins:[ "root" ] ())
       in
-      let get_access user acl =
-        let vci = fresh_vci () in
-        let lc =
-          Service.issue_arbitrary login ~client:vci ~roles:[ "LoggedOn" ]
-            ~args:[ V.Str user; V.Str "h" ]
-        in
-        let result = ref None in
-        Custode.request_access bottom ~client_host:w.client_host ~client:vci ~login:lc ~acl
-          (fun r -> result := Some r);
-        run_for w 1.0;
-        match !result with Some (Ok c) -> c | _ -> failwith "access"
-      in
+      let get_access = custode_access w login bottom in
       let root_cert = get_access "root" "system" in
       ignore
         (Custode.create_acl bottom ~cert:root_cert ~id:"vacdata" ~entries:"+vac0=adrwx"
            ~meta:"system");
       let bottom_cert = get_access "vac0" "vacdata" in
-      let file = Result.get_ok (Custode.create_file bottom ~cert:bottom_cert ~acl:"vacdata" ()) in
+      let file = ok "file" (Custode.create_file bottom ~cert:bottom_cert ~acl:"vacdata" ()) in
       ignore (Custode.write_file bottom ~cert:bottom_cert ~file "data");
       let rec build i below below_cert =
         if i > depth then (below, below_cert)
         else
           let vac =
-            Result.get_ok
+            ok "vac"
               (Vac.create w.net (add_host w) w.reg ~name:(Printf.sprintf "V%d_%d" depth i) ~below
                  ~below_cert)
           in
@@ -275,37 +201,23 @@ let e4 () =
   let login_and_custode name =
     let w = make_world () in
     let login = service w ~name:"Login" ~rolefile:login_rolefile in
-    let cust =
-      Result.get_ok (Custode.create w.net (add_host w) w.reg ~name ~admins:[ "root" ] ())
-    in
-    let get_access user acl =
-      let vci = fresh_vci () in
-      let lc =
-        Service.issue_arbitrary login ~client:vci ~roles:[ "LoggedOn" ]
-          ~args:[ V.Str user; V.Str "h" ]
-      in
-      let result = ref None in
-      Custode.request_access cust ~client_host:w.client_host ~client:vci ~login:lc ~acl (fun r ->
-          result := Some r);
-      run_for w 1.0;
-      match !result with Some (Ok c) -> c | _ -> failwith "access"
-    in
-    (w, cust, get_access)
+    let cust = ok "custode" (Custode.create w.net (add_host w) w.reg ~name ~admins:[ "root" ] ()) in
+    (cust, custode_access w login cust)
   in
   (* Shared: one ACL, one certificate, N files. *)
-  let _, cust, get_access = login_and_custode "FFC1" in
+  let cust, get_access = login_and_custode "FFC1" in
   let root = get_access "root" "system" in
   ignore (Custode.create_acl cust ~cert:root ~id:"proj" ~entries:"+dm=adrwx" ~meta:"system");
   let dm = get_access "dm" "proj" in
   let c0 = Service.crypto_checks (Custode.service cust) in
   let files =
-    List.init nfiles (fun _ -> Result.get_ok (Custode.create_file cust ~cert:dm ~acl:"proj" ()))
+    List.init nfiles (fun _ -> ok "file" (Custode.create_file cust ~cert:dm ~acl:"proj" ()))
   in
   List.iter (fun f -> ignore (Custode.read_file cust ~cert:dm ~file:f)) files;
   let shared_checks = Service.crypto_checks (Custode.service cust) - c0 in
   let shared_acls = Custode.acl_count cust in
   (* Per-file: one ACL and one certificate per file. *)
-  let _, cust2, get_access2 = login_and_custode "FFC2" in
+  let cust2, get_access2 = login_and_custode "FFC2" in
   let root2 = get_access2 "root" "system" in
   let certs = List.init nfiles (fun i ->
       let acl = Printf.sprintf "acl%d" i in
@@ -315,7 +227,7 @@ let e4 () =
   let c1 = Service.crypto_checks (Custode.service cust2) in
   let certs_and_files =
     List.map (fun (cert, acl) ->
-        (cert, Result.get_ok (Custode.create_file cust2 ~cert ~acl ()))) certs
+        (cert, ok "file" (Custode.create_file cust2 ~cert ~acl ()))) certs
   in
   List.iter (fun (cert, file) -> ignore (Custode.read_file cust2 ~cert ~file)) certs_and_files;
   let perfile_checks = Service.crypto_checks (Custode.service cust2) - c1 in
@@ -500,14 +412,10 @@ R(u) <-
         List.fold_left
           (fun prev svc ->
             if Service.name svc = "S1" then prev
-            else begin
-              let got = ref None in
-              Service.request_entry svc ~client_host:w.client_host ~client ~role:"R"
-                ~creds:[ prev ]
-                (function Ok c -> got := Some c | Error e -> failwith e);
-              run_for w 1.0;
-              Option.get !got
-            end)
+            else
+              await w 1.0 "e8 entry"
+                (Service.request_entry svc ~client_host:w.client_host ~client ~role:"R"
+                   ~creds:[ prev ]))
           base services
       in
       let last = List.nth services (chain - 1) in
@@ -575,15 +483,12 @@ Member(u) <- Login.LoggedOn(u, h)* <|* Chair : (u in staff)*
     let conf = service w ~name:"Conf" ~rolefile:rolefile_src in
     Group.add (Service.group conf "staff") (V.Str "dm");
     let jmb = fresh_vci () in
-    let jc =
-      Service.issue_arbitrary login ~client:jmb ~roles:[ "LoggedOn" ]
-        ~args:[ V.Str "jmb"; V.Str "h" ]
-    in
-    let chair = ref None in
-    Service.request_entry conf ~client_host:w.client_host ~client:jmb ~role:"Chair" ~creds:[ jc ]
-      (function Ok c -> chair := Some c | Error e -> failwith e);
-    run_for w 2.0;
-    (conf, jmb, Option.get !chair)
+    let jc = logged_on login ~client:jmb "jmb" "h" in
+    ( conf,
+      jmb,
+      await w 2.0 "e9 chair"
+        (Service.request_entry conf ~client_host:w.client_host ~client:jmb ~role:"Chair"
+           ~creds:[ jc ]) )
   in
   let tests =
     [
@@ -636,7 +541,7 @@ let e10 () =
     let site = Site.create net reg ~name:"S" ~rooms:[ "r1" ] ~heartbeat:0.5 () in
     Site.register_badge site ~badge:7 ~user:"me";
     let nsvc =
-      Result.get_ok
+      ok "e10 Namer"
         (Service.create net (Net.add_host net "ns") reg ~name:"Namer"
            ~rolefile:{|
 def OwnsBadge(u, b) u: String b: Integer
@@ -644,7 +549,7 @@ OwnsBadge(u, b) <-
 |} ())
     in
     let rules =
-      Result.get_ok (Oasis_esec.Erdl.parse "allow Namer.OwnsBadge(u, b) : Seen(b, *)")
+      ok "e10 rules" (Oasis_esec.Erdl.parse "allow Namer.OwnsBadge(u, b) : Seen(b, *)")
     in
     if policed then Oasis_esec.Policy.install (Site.master site) ~registry:reg ~rules;
     let upstream = Site.master site in
@@ -742,7 +647,7 @@ let e12 () =
                (if i = 1 then "Base" else Printf.sprintf "R%d" (i - 1)))
         done;
         let svc =
-          Result.get_ok
+          ok "e12 service"
             (Service.create w.net (add_host w) w.reg
                ~name:(Printf.sprintf "Scale%d%b" nstatements fixpoint)
                ~rolefile:(Buffer.contents buf) ~fixpoint_entry:fixpoint ())
@@ -816,7 +721,7 @@ let e14 () =
   let scenario ~heartbeat ~down =
     let w = make_world () in
     let svc name rolefile =
-      Result.get_ok (Service.create w.net (add_host w) w.reg ~name ~rolefile ~heartbeat ())
+      ok ("service " ^ name) (Service.create w.net (add_host w) w.reg ~name ~rolefile ~heartbeat ())
     in
     let login = svc "Login" login_rolefile in
     let conf =
@@ -827,34 +732,26 @@ Member(u) <- Login.LoggedOn(u, h)* <|* Chair : (u in staff)*
 |}
     in
     Group.add (Service.group conf "staff") (V.Str "dm");
-    let entry ~client ~role ?creds ?delegation () =
-      let result = ref None in
-      Service.request_entry conf ~client_host:w.client_host ~client ~role ?creds ?delegation
-        (fun r -> result := Some r);
-      run_for w 2.0;
-      match !result with Some (Ok c) -> c | _ -> failwith "e14: entry failed"
-    in
     let jmb = fresh_vci () in
-    let jmb_cert =
-      Service.issue_arbitrary login ~client:jmb ~roles:[ "LoggedOn" ]
-        ~args:[ V.Str "jmb"; V.Str "ely" ]
+    let jmb_cert = logged_on login ~client:jmb "jmb" "ely" in
+    let chair =
+      await w 2.0 "e14 chair"
+        (Service.request_entry conf ~client_host:w.client_host ~client:jmb ~role:"Chair"
+           ~creds:[ jmb_cert ])
     in
-    let chair = entry ~client:jmb ~role:"Chair" ~creds:[ jmb_cert ] () in
     let dm = fresh_vci () in
-    let dm_cert =
-      Service.issue_arbitrary login ~client:dm ~roles:[ "LoggedOn" ]
-        ~args:[ V.Str "dm"; V.Str "ely" ]
+    let dm_cert = logged_on login ~client:dm "dm" "ely" in
+    let d, _ =
+      await w 2.0 "e14 delegation"
+        (Service.request_delegation conf ~client_host:w.client_host ~delegator:jmb ~using:chair
+           ~role:"Member"
+           ~required:[ ("Login", "LoggedOn", [ V.Str "dm"; V.Str "*" ]) ])
     in
-    let d =
-      let result = ref None in
-      Service.request_delegation conf ~client_host:w.client_host ~delegator:jmb ~using:chair
-        ~role:"Member"
-        ~required:[ ("Login", "LoggedOn", [ V.Str "dm"; V.Str "*" ]) ]
-        (fun r -> result := Some r);
-      run_for w 2.0;
-      match !result with Some (Ok (d, _)) -> d | _ -> failwith "e14: delegation failed"
+    let member =
+      await w 2.0 "e14 member"
+        (Service.request_entry conf ~client_host:w.client_host ~client:dm ~role:"Member"
+           ~creds:[ dm_cert ] ~delegation:d)
     in
-    let member = entry ~client:dm ~role:"Member" ~creds:[ dm_cert ] ~delegation:d () in
     run_for w (4.0 *. heartbeat);
     assert (Service.validate conf ~client:dm member = Ok ());
     Net.crash_host w.net (Service.host login);
@@ -911,11 +808,7 @@ Member(u) <- Login.LoggedOn(u, h)* <|* Chair : (u in staff)*
 
 let e15 () =
   header "E15: revocation hot path at scale (batched vs per-event notification)";
-  let sizes =
-    match Sys.getenv_opt "OASIS_E15_SIZES" with
-    | Some s -> List.filter_map int_of_string_opt (String.split_on_char ',' s)
-    | None -> [ 1000; 10_000; 100_000 ]
-  in
+  let sizes = sizes "OASIS_E15_SIZES" ~default:[ 1000; 10_000; 100_000 ] in
   let total_msgs w =
     List.fold_left
       (fun acc (r : Stats.row) -> acc + r.Stats.r_count)
@@ -929,28 +822,19 @@ let e15 () =
      network message until the cascade settles. *)
   let scenario ~batch ~n =
     let w = make_world () in
-    let svc name rolefile = service ~batch w ~name ~rolefile in
-    let login = svc "Login" login_rolefile in
+    let { login; users; clients; certs = login_certs } = login_population ~batch w n in
     let conf =
-      svc "Conf" {|
+      service ~batch w ~name:"Conf"
+        ~rolefile:{|
 Member(u) <- Login.LoggedOn(u, h)* : ((u in staff) and (u in eng))*
 |}
     in
     let staff = Service.group conf "staff" and eng = Service.group conf "eng" in
-    let users = Array.init n (fun i -> Printf.sprintf "u%d" i) in
     Array.iter
       (fun u ->
         Group.add staff (V.Str u);
         Group.add eng (V.Str u))
       users;
-    let clients = Array.map (fun _ -> fresh_vci ()) users in
-    let login_certs =
-      Array.mapi
-        (fun i u ->
-          Service.issue_arbitrary login ~client:clients.(i) ~roles:[ "LoggedOn" ]
-            ~args:[ V.Str u; V.Str "ely" ])
-        users
-    in
     let enter () =
       let certs = Array.make n None in
       let t0 = Sys.time () in
@@ -1025,136 +909,40 @@ Member(u) <- Login.LoggedOn(u, h)* : ((u in staff) and (u in eng))*
 
 let e16 () =
   header "E16: revocation propagation latency, end to end (spans + histograms)";
-  let sizes =
-    match Sys.getenv_opt "OASIS_E16_SIZES" with
-    | Some s -> List.filter_map int_of_string_opt (String.split_on_char ',' s)
-    | None -> [ 1000; 10_000 ]
-  in
   let heartbeat = 1.0 in
-  let scenario ~n =
-    let w = make_world () in
-    let login = service ~batch:true w ~name:"Login" ~rolefile:login_rolefile in
-    let conf = service ~batch:true w ~name:"Conf" ~rolefile:{|
-Member(u) <- Login.LoggedOn(u, h)*
-|} in
-    let users = Array.init n (fun i -> Printf.sprintf "u%d" i) in
-    let clients = Array.map (fun _ -> fresh_vci ()) users in
-    let login_certs =
-      Array.mapi
-        (fun i u ->
-          Service.issue_arbitrary login ~client:clients.(i) ~roles:[ "LoggedOn" ]
-            ~args:[ V.Str u; V.Str "ely" ])
-        users
-    in
-    Array.iteri
-      (fun i _ ->
-        Service.request_entry conf ~client_host:w.client_host ~client:clients.(i) ~role:"Member"
-          ~creds:[ login_certs.(i) ]
-          (function Ok _ -> () | Error e -> failwith ("e16 entry: " ^ e)))
-      users;
-    run_for w 60.0;
-    (* Trace only the burst: entry-phase spans would otherwise age the
-       ring buffer out from under the measurement. *)
-    let tr = Net.trace w.net in
-    Trace.set_enabled tr true;
-    Trace.clear tr;
-    Stats.reset (Net.stats w.net);
-    (* Stagger the revocations across many heartbeat periods so their
-       arrival phase relative to the coalescing tick varies: each flush
-       window yields one end-to-end sample and the samples trace out the
-       full 0..heartbeat coalescing-delay distribution, not one point. *)
-    let burst = min n 500 in
-    let gap = 0.2 in
-    for i = 0 to burst - 1 do
-      Engine.schedule w.engine
-        ~delay:(float_of_int i *. gap)
-        (fun () -> Service.revoke_certificate login login_certs.(i))
-    done;
-    run_for w ((float_of_int burst *. gap) +. 10.0);
-    Trace.set_enabled tr false;
-    (* End-to-end latency per flush window, derived from the spans: a
-       window's trace is rooted at its earliest [revoke.invalidate] and
-       closed by the peer's [revoke.apply]. *)
-    let spans = Trace.spans tr in
-    let roots = Hashtbl.create 64 in
-    List.iter
-      (fun sp ->
-        if Trace.span_parent sp = None && Trace.span_name sp = "revoke.invalidate" then
-          Hashtbl.replace roots (Trace.span_trace sp) (Trace.span_start sp))
-      spans;
-    let e2e =
-      List.filter_map
-        (fun sp ->
-          if Trace.span_name sp = "revoke.apply" then
-            Option.map
-              (fun root_start -> Trace.span_end sp -. root_start)
-              (Hashtbl.find_opt roots (Trace.span_trace sp))
-          else None)
-        spans
-      |> List.sort compare |> Array.of_list
-    in
-    let pct p =
-      match Array.length e2e with
-      | 0 -> 0.0
-      | len ->
-          let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int len)) in
-          e2e.(max 0 (min (len - 1) (rank - 1)))
-    in
-    let samples = Array.length e2e in
-    if samples = 0 then failwith "e16: no end-to-end revocation spans recorded";
-    if Trace.open_spans tr <> [] then failwith "e16: revocation spans left open after settling";
-    let mx = Array.fold_left Float.max 0.0 e2e in
-    (* Coalescing bounds propagation by one heartbeat of buffering plus
-       delivery latency; anything beyond that is a regression. *)
-    if mx > 2.0 *. heartbeat then
-      failwith (Printf.sprintf "e16: propagation latency %.3fs exceeds 2 heartbeats" mx);
-    let s = Net.stats w.net in
-    if Stats.latency_samples s "oasis.revoke.e2e" <> samples then
-      failwith "e16: span-derived and histogram sample counts disagree";
-    (* Stats/Trace pre-render their own JSON; parse and re-emit through
-       the shared emitter with sorted keys so the snapshot diffs cleanly
-       against other runs (hash-iteration order used to leak into the
-       byte layout). *)
-    let reparse what s =
-      match J.parse s with Ok j -> j | Error e -> failwith ("e16 " ^ what ^ " json: " ^ e)
-    in
-    let oc = open_out (Printf.sprintf "BENCH_e16_%d.json" n) in
-    output_string oc
-      (J.to_string
-         (J.sorted
-            (J.Obj
-               [
-                 ("experiment", J.Str "e16");
-                 ("backend", J.Str "sim");
-                 ("clock_domain", J.Str "sim");
-                 ("n", J.Int n);
-                 ("burst", J.Int burst);
-                 ("heartbeat", J.Float heartbeat);
-                 ( "e2e",
-                   J.Obj
-                     [
-                       ("samples", J.Int samples);
-                       ("p50", J.Float (pct 50.0));
-                       ("p99", J.Float (pct 99.0));
-                       ("max", J.Float mx);
-                     ] );
-                 ("stats", reparse "stats" (Stats.to_json s));
-                 ("trace", reparse "trace" (Trace.to_json tr));
-               ])));
-    output_string oc "\n";
-    close_out oc;
-    (samples, pct 50.0, pct 99.0, mx,
-     Stats.percentile s "oasis.revoke.e2e" 50.0,
-     Stats.percentile s "oasis.revoke.e2e" 99.0)
-  in
   row "%8s %9s %12s %12s %12s %14s %14s\n" "n" "windows" "span p50 (s)" "span p99 (s)"
     "span max (s)" "hist p50 (s)" "hist p99 (s)";
   List.iter
     (fun n ->
-      let samples, p50, p99, mx, h50, h99 = scenario ~n in
-      row "%8d %9d %12.4f %12.4f %12.4f %14.4f %14.4f\n" n samples p50 p99 mx h50 h99;
-      row "         snapshot written to BENCH_e16_%d.json\n" n)
-    sizes;
+      let w = make_world () in
+      let pop = login_population ~batch:true w n in
+      let conf =
+        service ~batch:true w ~name:"Conf" ~rolefile:{|
+Member(u) <- Login.LoggedOn(u, h)*
+|}
+      in
+      Array.iteri
+        (fun i client ->
+          Service.request_entry conf ~client_host:w.client_host ~client ~role:"Member"
+            ~creds:[ pop.certs.(i) ]
+            (function Ok _ -> () | Error e -> failwith ("e16 entry: " ^ e)))
+        pop.clients;
+      run_for w 60.0;
+      let b = revocation_burst w ~exp:"e16" ~heartbeat pop in
+      let s = Net.stats w.net in
+      row "%8d %9d %12.4f %12.4f %12.4f %14.4f %14.4f\n" n b.samples b.p50 b.p99 b.max
+        (Stats.percentile s "oasis.revoke.e2e" 50.0)
+        (Stats.percentile s "oasis.revoke.e2e" 99.0);
+      write_snapshot sim_labels "e16" n
+        [
+          ("n", J.Int n);
+          ("burst", J.Int b.burst);
+          ("heartbeat", J.Float heartbeat);
+          ("e2e", burst_json b);
+          ("stats", embed "stats" (Stats.to_json s));
+          ("trace", embed "trace" (Trace.to_json (Net.trace w.net)));
+        ])
+    (sizes "OASIS_E16_SIZES" ~default:[ 1000; 10_000 ]);
   row "shape: propagation is bounded by one heartbeat of coalescing delay plus delivery\n";
   row "       latency, independent of membership count; the histogram percentiles agree\n";
   row "       with the span-derived ones to within one log-bucket octave.\n"
@@ -1196,11 +984,6 @@ let e17 () =
      (enter, then revoke last round's certificates), so the log accumulates
      history while the live state stays O(members): full replay scans the
      whole history, a checkpointed service replays snapshot + short suffix. *)
-  let sizes =
-    match Sys.getenv_opt "OASIS_E17_SIZES" with
-    | Some s -> List.filter_map int_of_string_opt (String.split_on_char ',' s)
-    | None -> [ 500; 2000; 8000 ]
-  in
   let members = 64 in
   let rounds_for n = max 2 ((n + (2 * members) - 1) / (2 * members)) in
   let meet_rolefile =
@@ -1211,37 +994,23 @@ Member(u) <- Login.LoggedOn(u, h)* |>* Chair : u in staff
   in
   let scenario ~rounds ~snapshot =
     let w = make_world () in
-    let login = service w ~name:"Login" ~rolefile:login_rolefile in
+    let { login; users; clients; certs = logins } = login_population ~batch:true w members in
     let meet_host = add_host w in
     let disk = Disk.create w.net meet_host () in
     let meet =
-      Result.get_ok
+      ok "e17 Meet"
         (Service.create w.net meet_host w.reg ~name:"Meet" ~rolefile:meet_rolefile ~disk
            ~snapshot_every:(if snapshot then 128 else max_int)
            ())
     in
     let staff = Service.group meet "staff" in
-    let users = Array.init members (fun i -> Printf.sprintf "u%d" i) in
     Array.iter (fun u -> Group.add staff (V.Str u)) users;
-    let clients = Array.map (fun _ -> fresh_vci ()) users in
-    let logins =
-      Array.mapi
-        (fun i u ->
-          Service.issue_arbitrary login ~client:clients.(i) ~roles:[ "LoggedOn" ]
-            ~args:[ V.Str u; V.Str "ely" ])
-        users
-    in
     let jmb = fresh_vci () in
-    let jmb_cert =
-      Service.issue_arbitrary login ~client:jmb ~roles:[ "LoggedOn" ]
-        ~args:[ V.Str "jmb"; V.Str "ely" ]
+    let chair =
+      await w 2.0 "e17 chair entry"
+        (Service.request_entry meet ~client_host:w.client_host ~client:jmb ~role:"Chair"
+           ~creds:[ logged_on login ~client:jmb "jmb" "ely" ])
     in
-    let chair = ref None in
-    Service.request_entry meet ~client_host:w.client_host ~client:jmb ~role:"Chair"
-      ~creds:[ jmb_cert ]
-      (function Ok c -> chair := Some c | Error e -> failwith ("e17 chair entry: " ^ e));
-    run_for w 2.0;
-    let chair = match !chair with Some c -> c | None -> failwith "e17: chair entry stalled" in
     let last = Array.make members None in
     for r = 0 to rounds - 1 do
       Array.iteri
@@ -1314,33 +1083,23 @@ Member(u) <- Login.LoggedOn(u, h)* |>* Chair : u in staff
               ("recover_latency_s", J.Float lat);
             ] )
       in
-      let oc = open_out (Printf.sprintf "BENCH_e17_%d.json" n) in
-      output_string oc
-        (J.to_string
-           (J.sorted
-           (J.Obj
+      write_snapshot sim_labels "e17" n
+        [
+          ("n", J.Int n);
+          ("churn_rounds", J.Int rounds);
+          ("members", J.Int members);
+          ( "group_commit",
+            J.Obj
               [
-                ("experiment", J.Str "e17");
-                 ("backend", J.Str "sim");
-                 ("clock_domain", J.Str "sim");
-                ("n", J.Int n);
-                ("churn_rounds", J.Int rounds);
-                ("members", J.Int members);
-                ( "group_commit",
-                  J.Obj
-                    [
-                      ("appends", J.Int appends);
-                      ("fsyncs_coalesced", J.Int grouped);
-                      ("fsyncs_per_append", J.Int baseline);
-                      ("reduction", J.Float (float_of_int baseline /. float_of_int grouped));
-                    ] );
-                mode "full_replay" (flog, fsnap, frec, flat);
-                mode "snapshot" (slog, ssnap, srec, slat);
-              ])));
-      output_string oc "\n";
-      close_out oc;
-      row "         snapshot written to BENCH_e17_%d.json\n" n)
-    sizes;
+                ("appends", J.Int appends);
+                ("fsyncs_coalesced", J.Int grouped);
+                ("fsyncs_per_append", J.Int baseline);
+                ("reduction", J.Float (float_of_int baseline /. float_of_int grouped));
+              ] );
+          mode "full_replay" (flog, fsnap, frec, flat);
+          mode "snapshot" (slog, ssnap, srec, slat);
+        ])
+    (sizes "OASIS_E17_SIZES" ~default:[ 500; 2000; 8000 ]);
   row "shape: group commit turns 1k appends into O(elapsed/flush-interval) fsyncs (>=5x\n";
   row "       fewer); recovery time grows with durable log length, and checkpointing\n";
   row "       bounds replay to snapshot + suffix regardless of history length.\n"
@@ -1351,13 +1110,42 @@ Member(u) <- Login.LoggedOn(u, h)* |>* Chair : u in staff
 (* planted defect class must be reported).  Snapshot: BENCH_e18_<n>.json *)
 (* ------------------------------------------------------------------ *)
 
+(* A federation of one service per (name, rolefile source) pair. *)
+let federation corpus =
+  FL.make
+    (List.map
+       (fun (name, src) ->
+         { FL.fl_name = name; fl_file = name; fl_rolefile = Oasis_rdl.Parser.parse src })
+       corpus)
+
+let roles_per_service = 8
+
+(* A clean chain federation of about [nroles] roles: services S0..Sk of
+   [roles_per_service] roles each, every role entered from the one before
+   it, S0.R0 the only axiom. *)
+let chain_federation nroles =
+  let nservices = max 1 (nroles / roles_per_service) in
+  List.init nservices (fun i ->
+      let buf = Buffer.create 256 in
+      for j = 0 to roles_per_service - 1 do
+        if i = 0 && j = 0 then Buffer.add_string buf "R0(u) <-\n"
+        else if j = 0 then
+          Buffer.add_string buf
+            (Printf.sprintf "R0(u) <- S%d.R%d(u)* : u <> \"root\"\n" (i - 1)
+               (roles_per_service - 1))
+        else Buffer.add_string buf (Printf.sprintf "R%d(u) <- R%d(u)*\n" j (j - 1))
+      done;
+      {
+        FL.fl_name = Printf.sprintf "S%d" i;
+        fl_file = Printf.sprintf "S%d.rdl" i;
+        fl_rolefile = Oasis_rdl.Parser.parse (Buffer.contents buf);
+      })
+
 let e18 () =
   let module Analyze = Oasis_rdl.Analyze in
-  let module FL = Oasis_core.Federation_lint in
   header "E18: static policy analysis — defect recall and analyzer scaling";
   (* (a) Recall over a seeded defect corpus: one planted defect per check
      family; the analyzer must report every planted code. *)
-  let parse = Oasis_rdl.Parser.parse in
   let corpus =
     [
       (* RDL001 unbound, RDL011 unsat, RDL004 duplicate, RDL002 unused bind *)
@@ -1385,13 +1173,7 @@ Out(u) <- Elsewhere.Thing(u)*
 Lonely(u) <- Y(u) : u in nowhere and not (u in nowhere)|});
     ]
   in
-  let fed =
-    FL.make
-      (List.map
-         (fun (name, src) -> { FL.fl_name = name; fl_file = name; fl_rolefile = parse src })
-         corpus)
-  in
-  let diags = FL.check ~per_file:true fed in
+  let diags = FL.check ~per_file:true (federation corpus) in
   let planted =
     [
       "RDL001"; "RDL002"; "RDL004"; "RDL005"; "RDL011"; "OASIS001"; "OASIS002"; "OASIS003";
@@ -1406,35 +1188,10 @@ Lonely(u) <- Y(u) : u in nowhere and not (u in nowhere)|});
     (List.length planted) (List.length planted) (List.length diags);
   (* (b) Scaling: chain federations of R-role services; lint runtime must be
      measured end to end (inference + per-file checks + federation graph). *)
-  let sizes =
-    match Sys.getenv_opt "OASIS_E18_SIZES" with
-    | Some s -> List.filter_map int_of_string_opt (String.split_on_char ',' s)
-    | None -> [ 64; 256; 1024 ]
-  in
-  let roles_per_service = 8 in
-  let gen_federation nroles =
-    let nservices = max 1 (nroles / roles_per_service) in
-    List.init nservices (fun i ->
-        let buf = Buffer.create 256 in
-        for j = 0 to roles_per_service - 1 do
-          if i = 0 && j = 0 then Buffer.add_string buf "R0(u) <-\n"
-          else if j = 0 then
-            Buffer.add_string buf
-              (Printf.sprintf "R0(u) <- S%d.R%d(u)* : u <> \"root\"\n" (i - 1)
-                 (roles_per_service - 1))
-          else
-            Buffer.add_string buf (Printf.sprintf "R%d(u) <- R%d(u)*\n" j (j - 1))
-        done;
-        {
-          FL.fl_name = Printf.sprintf "S%d" i;
-          fl_file = Printf.sprintf "S%d.rdl" i;
-          fl_rolefile = parse (Buffer.contents buf);
-        })
-  in
   row "%12s %12s %12s %14s %14s\n" "roles" "services" "diags" "lint (ms)" "us/role";
   List.iter
     (fun nroles ->
-      let members = gen_federation nroles in
+      let members = chain_federation nroles in
       let t0 = Sys.time () in
       let fed = FL.make members in
       let diags = FL.check ~per_file:true fed in
@@ -1447,26 +1204,16 @@ Lonely(u) <- Y(u) : u in nowhere and not (u in nowhere)|});
       let total = roles_per_service * List.length members in
       row "%12d %12d %12d %14.2f %14.2f\n" total (List.length members) (List.length diags) dt
         (dt *. 1000.0 /. float_of_int total);
-      let oc = open_out (Printf.sprintf "BENCH_e18_%d.json" total) in
-      output_string oc
-        (J.to_string
-           (J.sorted
-           (J.Obj
-              [
-                ("experiment", J.Str "e18");
-                 ("backend", J.Str "sim");
-                 ("clock_domain", J.Str "sim");
-                ("roles", J.Int total);
-                ("services", J.Int (List.length members));
-                ("roles_per_service", J.Int roles_per_service);
-                ("diagnostics", J.Int (List.length diags));
-                ("lint_ms", J.Float dt);
-                ("us_per_role", J.Float (dt *. 1000.0 /. float_of_int total));
-              ])));
-      output_string oc "\n";
-      close_out oc;
-      row "         snapshot written to BENCH_e18_%d.json\n" total)
-    sizes;
+      write_snapshot sim_labels "e18" total
+        [
+          ("roles", J.Int total);
+          ("services", J.Int (List.length members));
+          ("roles_per_service", J.Int roles_per_service);
+          ("diagnostics", J.Int (List.length diags));
+          ("lint_ms", J.Float dt);
+          ("us_per_role", J.Float (dt *. 1000.0 /. float_of_int total));
+        ])
+    (sizes "OASIS_E18_SIZES" ~default:[ 64; 256; 1024 ]);
   row "shape: analyzer cost is near-linear in total roles (per-file passes are\n";
   row "       per-entry; the federation fixpoint converges along the chain).\n"
 
@@ -1483,11 +1230,6 @@ let e19 () =
   header "E19: scenario model checking — exhaustive exploration and reduction";
   let params depth ~reduce = { Explore.default_params with depth; max_runs = 200_000; reduce } in
   (* (a) Exhaustive exploration of both paper scenarios across depths. *)
-  let depths =
-    match Sys.getenv_opt "OASIS_E19_DEPTHS" with
-    | Some s -> List.filter_map int_of_string_opt (String.split_on_char ',' s)
-    | None -> [ 8; 10; 12 ]
-  in
   row "%12s %8s %10s %12s %10s %12s %12s\n" "scenario" "depth" "runs" "decisions" "states"
     "pruned" "wall (ms)";
   let scenario_rows =
@@ -1512,14 +1254,10 @@ let e19 () =
               dt;
             (spec.Oasis_mc.Scenario.sc_name, depth, rp, dt))
           [ Scenarios.golf_club; Scenarios.mssa ])
-      depths
+      (sizes "OASIS_E19_DEPTHS" ~default:[ 8; 10; 12 ])
   in
   (* (b) Reduction ratio at a depth where naive enumeration still completes. *)
-  let ratio_depth =
-    match Sys.getenv_opt "OASIS_E19_RATIO_DEPTH" with
-    | Some s -> int_of_string s
-    | None -> 10
-  in
+  let ratio_depth = size "OASIS_E19_RATIO_DEPTH" ~default:10 in
   let t0 = Sys.time () in
   let naive = Explore.explore Scenarios.golf_club (params ratio_depth ~reduce:false) in
   let naive_ms = (Sys.time () -. t0) *. 1000.0 in
@@ -1545,32 +1283,21 @@ let e19 () =
         (String.concat ";" (List.map string_of_int m.Explore.cx_schedule)));
   List.iter
     (fun (name, depth, rp, dt) ->
-      if name = "golf-club" then begin
-        let oc = open_out (Printf.sprintf "BENCH_e19_%d.json" depth) in
-        output_string oc
-          (J.to_string
-             (J.sorted
-             (J.Obj
-                [
-                  ("experiment", J.Str "e19");
-                 ("backend", J.Str "sim");
-                 ("clock_domain", J.Str "sim");
-                  ("scenario", J.Str name);
-                  ("depth", J.Int depth);
-                  ("runs", J.Int rp.Explore.rp_runs);
-                  ("decisions", J.Int rp.Explore.rp_decisions);
-                  ("distinct_states", J.Int rp.Explore.rp_distinct_states);
-                  ("pruned_sleep", J.Int rp.Explore.rp_pruned_sleep);
-                  ("pruned_fp", J.Int rp.Explore.rp_pruned_fp);
-                  ("wall_ms", J.Float dt);
-                  ("naive_runs_at_ratio_depth", J.Int naive.Explore.rp_runs);
-                  ("reduced_runs_at_ratio_depth", J.Int reduced.Explore.rp_runs);
-                  ("reduction_ratio", J.Float ratio);
-                ])));
-        output_string oc "\n";
-        close_out oc;
-        row "         snapshot written to BENCH_e19_%d.json\n" depth
-      end)
+      if name = "golf-club" then
+        write_snapshot sim_labels "e19" depth
+          [
+            ("scenario", J.Str name);
+            ("depth", J.Int depth);
+            ("runs", J.Int rp.Explore.rp_runs);
+            ("decisions", J.Int rp.Explore.rp_decisions);
+            ("distinct_states", J.Int rp.Explore.rp_distinct_states);
+            ("pruned_sleep", J.Int rp.Explore.rp_pruned_sleep);
+            ("pruned_fp", J.Int rp.Explore.rp_pruned_fp);
+            ("wall_ms", J.Float dt);
+            ("naive_runs_at_ratio_depth", J.Int naive.Explore.rp_runs);
+            ("reduced_runs_at_ratio_depth", J.Int reduced.Explore.rp_runs);
+            ("reduction_ratio", J.Float ratio);
+          ])
     scenario_rows;
   row "shape: the explored state space grows geometrically with depth; sleep sets +\n";
   row "       fingerprint pruning keep exhaustive coverage >=5x cheaper than naive\n";
@@ -1588,38 +1315,18 @@ let e19 () =
 let e20 () =
   let module Shard = Oasis_core.Shard in
   header "E20: sharded credential plane — issue throughput and revocation latency vs shards";
-  let members =
-    match Sys.getenv_opt "OASIS_E20_MEMBERS" with
-    | Some s -> int_of_string s
-    | None -> 100_000
-  in
-  let shard_counts =
-    match Sys.getenv_opt "OASIS_E20_SHARDS" with
-    | Some s -> List.filter_map int_of_string_opt (String.split_on_char ',' s)
-    | None -> [ 1; 4; 16 ]
-  in
+  let members = size "OASIS_E20_MEMBERS" ~default:100_000 in
+  let shard_counts = sizes "OASIS_E20_SHARDS" ~default:[ 1; 4; 16 ] in
   let heartbeat = 1.0 in
   let run ~shards:n =
     let w = make_world () in
-    let login = service ~batch:true w ~name:"Login" ~rolefile:login_rolefile in
+    let pop = login_population ~batch:true w members in
     let club =
-      match
-        Shard.create w.net w.reg ~name:"Club" ~rolefile:{|
+      ok "e20"
+        (Shard.create w.net w.reg ~name:"Club" ~rolefile:{|
 Member(u) <- Login.LoggedOn(u, h)*
 |}
-          ~shards:n ~heartbeat ~durable:true ()
-      with
-      | Ok c -> c
-      | Error e -> failwith ("e20: " ^ e)
-    in
-    let users = Array.init members (fun i -> Printf.sprintf "u%d" i) in
-    let clients = Array.map (fun _ -> fresh_vci ()) users in
-    let login_certs =
-      Array.mapi
-        (fun i u ->
-          Service.issue_arbitrary login ~client:clients.(i) ~roles:[ "LoggedOn" ]
-            ~args:[ V.Str u; V.Str "ely" ])
-        users
+           ~shards:n ~heartbeat ~durable:true ())
     in
     (* Issue phase: every membership enters through the router.  Entries
        are paced in waves of virtual time (steady-state operation, not one
@@ -1638,107 +1345,34 @@ Member(u) <- Login.LoggedOn(u, h)*
         Engine.schedule w.engine
           ~delay:(float_of_int (i / wave) *. wave_gap)
           (fun () ->
-            Shard.request_entry club ~client_host:w.client_host ~client:clients.(i)
+            Shard.request_entry club ~client_host:w.client_host ~client:pop.clients.(i)
               ~role:"Member" ~args:[ V.Str u ]
-              ~creds:[ login_certs.(i) ]
+              ~creds:[ pop.certs.(i) ]
               (function Ok _ -> incr committed | Error e -> failwith ("e20 entry: " ^ e))))
-      users;
+      pop.users;
     run_for w ((float_of_int (members / wave) *. wave_gap) +. 30.0);
     let wall = Sys.time () -. t0 in
     if !committed <> members then
       failwith (Printf.sprintf "e20: only %d/%d entries committed" !committed members);
     let thpt = float_of_int members /. wall in
-    (* Revocation phase: e16's method verbatim — a staggered traced burst
-       of login-certificate revocations, end-to-end latency from each
-       window's [revoke.invalidate] root to the owning shard's
-       [revoke.apply]. *)
-    let tr = Net.trace w.net in
-    Trace.set_enabled tr true;
-    Trace.clear tr;
-    Stats.reset (Net.stats w.net);
-    let burst = min members 500 in
-    let gap = 0.2 in
-    for i = 0 to burst - 1 do
-      Engine.schedule w.engine
-        ~delay:(float_of_int i *. gap)
-        (fun () -> Service.revoke_certificate login login_certs.(i))
-    done;
-    run_for w ((float_of_int burst *. gap) +. 10.0);
-    Trace.set_enabled tr false;
-    let spans = Trace.spans tr in
-    let roots = Hashtbl.create 64 in
-    List.iter
-      (fun sp ->
-        if Trace.span_parent sp = None && Trace.span_name sp = "revoke.invalidate" then
-          Hashtbl.replace roots (Trace.span_trace sp) (Trace.span_start sp))
-      spans;
-    let e2e =
-      List.filter_map
-        (fun sp ->
-          if Trace.span_name sp = "revoke.apply" then
-            Option.map
-              (fun root_start -> Trace.span_end sp -. root_start)
-              (Hashtbl.find_opt roots (Trace.span_trace sp))
-          else None)
-        spans
-      |> List.sort compare |> Array.of_list
-    in
-    let pct p =
-      match Array.length e2e with
-      | 0 -> 0.0
-      | len ->
-          let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int len)) in
-          e2e.(max 0 (min (len - 1) (rank - 1)))
-    in
-    let samples = Array.length e2e in
-    if samples = 0 then failwith "e20: no end-to-end revocation spans recorded";
-    let mx = Array.fold_left Float.max 0.0 e2e in
-    if mx > 2.0 *. heartbeat then
-      failwith (Printf.sprintf "e20: propagation latency %.3fs exceeds 2 heartbeats" mx);
-    let s = Net.stats w.net in
-    if Stats.latency_samples s "oasis.revoke.e2e" <> samples then
-      failwith "e20: span-derived and histogram sample counts disagree";
-    let reparse what str =
-      match J.parse str with Ok j -> j | Error e -> failwith ("e20 " ^ what ^ " json: " ^ e)
-    in
-    let oc = open_out (Printf.sprintf "BENCH_e20_%d.json" n) in
-    output_string oc
-      (J.to_string
-         (J.sorted
-            (J.Obj
-               [
-                 ("experiment", J.Str "e20");
-                 ("backend", J.Str "sim");
-                 ("clock_domain", J.Str "sim");
-                 ("shards", J.Int n);
-                 ("members", J.Int members);
-                 ("heartbeat", J.Float heartbeat);
-                 ("issue_wall_s", J.Float wall);
-                 ("issues_per_s", J.Float thpt);
-                 ( "e2e",
-                   J.Obj
-                     [
-                       ("samples", J.Int samples);
-                       ("p50", J.Float (pct 50.0));
-                       ("p99", J.Float (pct 99.0));
-                       ("max", J.Float mx);
-                     ] );
-                 ("stats", reparse "stats" (Stats.to_json s));
-               ])));
-    output_string oc "\n";
-    close_out oc;
-    (thpt, pct 50.0, pct 99.0, mx)
+    (* Revocation phase: e16's probe, the owning shard's [revoke.apply]
+       closing each window. *)
+    let b = revocation_burst w ~exp:"e20" ~heartbeat pop in
+    row "%8d %10d %14.0f %12.4f %12.4f %12.4f\n" n members thpt b.p50 b.p99 b.max;
+    write_snapshot sim_labels "e20" n
+      [
+        ("shards", J.Int n);
+        ("members", J.Int members);
+        ("heartbeat", J.Float heartbeat);
+        ("issue_wall_s", J.Float wall);
+        ("issues_per_s", J.Float thpt);
+        ("e2e", burst_json b);
+        ("stats", embed "stats" (Stats.to_json (Net.stats w.net)));
+      ];
+    (n, thpt, b.p99)
   in
   row "%8s %10s %14s %12s %12s %12s\n" "shards" "members" "issues/s" "p50 (s)" "p99 (s)" "max (s)";
-  let results =
-    List.map
-      (fun n ->
-        let thpt, p50, p99, mx = run ~shards:n in
-        row "%8d %10d %14.0f %12.4f %12.4f %12.4f\n" n members thpt p50 p99 mx;
-        row "         snapshot written to BENCH_e20_%d.json\n" n;
-        (n, thpt, p99))
-      shard_counts
-  in
+  let results = List.map (fun n -> run ~shards:n) shard_counts in
   (* Gates: linear-ish issue scaling and shard-count-independent
      revocation latency — only meaningful at the headline size. *)
   (match (List.assoc_opt 1 (List.map (fun (n, t, _) -> (n, t)) results),
@@ -1779,17 +1413,8 @@ let e21 () =
   let module Shard = Oasis_core.Shard in
   let module Replica = Oasis_core.Replica in
   header "E21: replicated shards — a primary crash per shard costs nothing";
-  let members =
-    match Sys.getenv_opt "OASIS_E21_MEMBERS" with Some s -> int_of_string s | None -> 200
-  in
-  let shards =
-    match Sys.getenv_opt "OASIS_E21_SHARDS" with Some s -> int_of_string s | None -> 4
-  in
-  let ks =
-    match Sys.getenv_opt "OASIS_E21_REPLICAS" with
-    | Some s -> List.filter_map int_of_string_opt (String.split_on_char ',' s)
-    | None -> [ 1; 3 ]
-  in
+  let members = size "OASIS_E21_MEMBERS" ~default:200 in
+  let shards = size "OASIS_E21_SHARDS" ~default:4 in
   let heartbeat = 1.0 in
   let duration = 150.0 in
   let club_rolefile = {|
@@ -1797,39 +1422,24 @@ Chair <- Login.LoggedOn("jmb", h)
 Member(u) <- Login.LoggedOn(u, h)* |>* Chair
 |} in
   let nfires = min 60 (members / 4) in
-  let pct arr p =
-    match Array.length arr with
-    | 0 -> 0.0
-    | len ->
-        let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int len)) in
-        arr.(max 0 (min (len - 1) (rank - 1)))
-  in
   let run ~k ~crash =
     let w = make_world () in
-    let login = service ~batch:true w ~name:"Login" ~rolefile:login_rolefile in
+    let { login; users; clients; certs } = login_population ~batch:true w members in
     let club =
-      match
-        Shard.create w.net w.reg ~name:"Club" ~rolefile:club_rolefile ~shards ~heartbeat
-          ~durable:true ~replicas:k ()
-      with
-      | Ok c -> c
-      | Error e -> failwith ("e21: " ^ e)
+      ok "e21"
+        (Shard.create w.net w.reg ~name:"Club" ~rolefile:club_rolefile ~shards ~heartbeat
+           ~durable:true ~replicas:k ())
     in
-    let issue u vci =
-      Service.issue_arbitrary login ~client:vci ~roles:[ "LoggedOn" ] ~args:[ V.Str u; V.Str "ely" ]
-    in
+    let issue u client = logged_on login ~client u "ely" in
     let jmb = fresh_vci () in
-    let chair = ref None in
-    Shard.request_entry club ~client_host:w.client_host ~client:jmb ~role:"Chair" ~args:[]
-      ~creds:[ issue "jmb" jmb ]
-      (function Ok c -> chair := Some c | Error e -> failwith ("e21 chair: " ^ e));
-    run_for w 2.0;
-    let chair = match !chair with Some c -> c | None -> failwith "e21: chair never entered" in
+    let chair =
+      await w 2.0 "e21 chair"
+        (Shard.request_entry club ~client_host:w.client_host ~client:jmb ~role:"Chair" ~args:[]
+           ~creds:[ issue "jmb" jmb ])
+    in
     (* Base memberships: everyone enters in waves (fault-free, so every
        entry must commit), and each ack is recorded — the audit below
        holds the crash run to never losing any of them. *)
-    let users = Array.init members (fun i -> Printf.sprintf "u%d" i) in
-    let clients = Array.map (fun _ -> fresh_vci ()) users in
     let base = Array.make members None in
     Array.iteri
       (fun i u ->
@@ -1837,8 +1447,7 @@ Member(u) <- Login.LoggedOn(u, h)* |>* Chair
           ~delay:(float_of_int (i / 64) *. 0.25)
           (fun () ->
             Shard.request_entry club ~client_host:w.client_host ~client:clients.(i)
-              ~role:"Member" ~args:[ V.Str u ]
-              ~creds:[ issue u clients.(i) ]
+              ~role:"Member" ~args:[ V.Str u ] ~creds:[ certs.(i) ]
               (function Ok c -> base.(i) <- Some c | Error e -> failwith ("e21 entry: " ^ e))))
       users;
     run_for w ((float_of_int (members / 64) *. 0.25) +. 20.0);
@@ -1944,7 +1553,7 @@ Member(u) <- Login.LoggedOn(u, h)* |>* Chair
       !probe_err,
       pct lat 50.0,
       pct lat 99.0,
-      (if Array.length lat = 0 then 0.0 else lat.(Array.length lat - 1)) )
+      pct lat 100.0 )
   in
   row "%4s %6s %8s %8s %8s %8s %10s %10s %10s\n" "K" "crash" "lost" "entries" "fires" "errs"
     "p50 (s)" "p99 (s)" "max (s)";
@@ -1969,39 +1578,29 @@ Member(u) <- Login.LoggedOn(u, h)* |>* Chair
             (Printf.sprintf "e21: K=%d probe p99 %.4fs exceeds crash-free %.4fs + 1 heartbeat" k
                p99 p99_f)
       end;
-      let oc = open_out (Printf.sprintf "BENCH_e21_%d.json" k) in
-      output_string oc
-        (J.to_string
-           (J.sorted
-              (J.Obj
-                 [
-                   ("experiment", J.Str "e21");
-                 ("backend", J.Str "sim");
-                 ("clock_domain", J.Str "sim");
-                   ("replicas", J.Int k);
-                   ("shards", J.Int shards);
-                   ("members", J.Int members);
-                   ("heartbeat", J.Float heartbeat);
-                   ("duration_s", J.Float duration);
-                   ("lost_acked", J.Int lost);
-                   ("acked_extra_entries", J.Int extra);
-                   ("acked_fires", J.Int fires);
-                   ( "probe",
-                     J.Obj
-                       [
-                         ("samples", J.Int samples);
-                         ("errors", J.Int err);
-                         ("p50", J.Float p50);
-                         ("p99", J.Float p99);
-                         ("max", J.Float mx);
-                         ("crash_free_samples", J.Int samples_f);
-                         ("crash_free_p99", J.Float p99_f);
-                       ] );
-                 ])));
-      output_string oc "\n";
-      close_out oc;
-      row "         snapshot written to BENCH_e21_%d.json\n" k)
-    ks;
+      write_snapshot sim_labels "e21" k
+        [
+          ("replicas", J.Int k);
+          ("shards", J.Int shards);
+          ("members", J.Int members);
+          ("heartbeat", J.Float heartbeat);
+          ("duration_s", J.Float duration);
+          ("lost_acked", J.Int lost);
+          ("acked_extra_entries", J.Int extra);
+          ("acked_fires", J.Int fires);
+          ( "probe",
+            J.Obj
+              [
+                ("samples", J.Int samples);
+                ("errors", J.Int err);
+                ("p50", J.Float p50);
+                ("p99", J.Float p99);
+                ("max", J.Float mx);
+                ("crash_free_samples", J.Int samples_f);
+                ("crash_free_p99", J.Float p99_f);
+              ] );
+        ])
+    (sizes "OASIS_E21_REPLICAS" ~default:[ 1; 3 ]);
   row "shape: K=1 pays the full outage (probes fail closed until the restart); K=3\n";
   row "       absorbs the same crash inside the lease window — zero lost acks, zero\n";
   row "       failed probes, probe p99 within a heartbeat of the crash-free twin.\n"
@@ -2014,12 +1613,8 @@ let e22 () =
   let module Shard = Oasis_core.Shard in
   let module Remote = Oasis_core.Remote in
   header "E22: the e20 sharded-issue workload on the Unix backend — wall-clock loopback TCP";
-  let members =
-    match Sys.getenv_opt "OASIS_E22_MEMBERS" with Some s -> int_of_string s | None -> 1000
-  in
-  let shards =
-    match Sys.getenv_opt "OASIS_E22_SHARDS" with Some s -> int_of_string s | None -> 2
-  in
+  let members = size "OASIS_E22_MEMBERS" ~default:1000 in
+  let shards = size "OASIS_E22_SHARDS" ~default:2 in
   if shards < 2 then failwith "e22: needs at least 2 shards";
   let window = 32 in
   (* One process, N shard services + a router — but every protocol hop is
@@ -2054,14 +1649,11 @@ User(u) <- Login(u)* |>* Admin
         (fun i _ ->
           let host = Net.add_host net (Printf.sprintf "h.e22.s%d" i) in
           let svc =
-            match
-              Service.create net host reg
-                ~name:(Printf.sprintf "Gate22#%d" i)
-                ~rolefile_id:"Gate22" ~rolefile ~compound_certificates:false
-                ~disk:(Backend.disk backend host) ()
-            with
-            | Ok s -> s
-            | Error e -> failwith ("e22 shard: " ^ e)
+            ok "e22 shard"
+              (Service.create net host reg
+                 ~name:(Printf.sprintf "Gate22#%d" i)
+                 ~rolefile_id:"Gate22" ~rolefile ~compound_certificates:false
+                 ~disk:(Backend.disk backend host) ())
           in
           ignore (Remote.serve_shard net svc ~shard_id:i);
           Backend_unix.peer b ~name:(wire i) ~port;
@@ -2118,24 +1710,16 @@ User(u) <- Login(u)* |>* Admin
   let thpt = float_of_int members /. !wall in
   row "%d members over %d shards: %.2fs wall, %.0f issues/s (loopback TCP, real fsync)\n"
     members shards !wall thpt;
-  let oc = open_out (Printf.sprintf "BENCH_e22_%d.json" shards) in
-  output_string oc
-    (J.to_string
-       (J.sorted
-          (J.Obj
-             [
-               ("experiment", J.Str "e22");
-               ("backend", J.Str (Backend.name backend));
-               ("clock_domain", J.Str (Backend.clock_domain_label backend));
-               ("shards", J.Int shards);
-               ("members", J.Int members);
-               ("window", J.Int window);
-               ("issue_wall_s", J.Float !wall);
-               ("issues_per_s", J.Float thpt);
-             ])));
-  output_string oc "\n";
-  close_out oc;
-  row "         snapshot written to BENCH_e22_%d.json\n" shards;
+  write_snapshot
+    (Backend.name backend, Backend.clock_domain_label backend)
+    "e22" shards
+    [
+      ("shards", J.Int shards);
+      ("members", J.Int members);
+      ("window", J.Int window);
+      ("issue_wall_s", J.Float !wall);
+      ("issues_per_s", J.Float thpt);
+    ];
   row "shape: same protocol modules as e20, different substrate — the sim measures\n";
   row "       algorithmic cost in virtual time; this measures the deployed plane's\n";
   row "       real throughput: syscalls, TCP framing and fsyncs included.\n"
@@ -2148,9 +1732,7 @@ User(u) <- Login(u)* |>* Admin
 
 let e23 () =
   let module Analyze = Oasis_rdl.Analyze in
-  let module FL = Oasis_core.Federation_lint in
   header "E23: symbolic escalation prover — recall, tightening and scaling";
-  let parse = Oasis_rdl.Parser.parse in
   (* (a) Recall over a planted escalation corpus: one chain per new code.
      CorpA/CorpB form a bootstrap deadlock, so Locked and Peer are
      non-base holders with a non-empty escalation frontier; Prize consumes
@@ -2175,13 +1757,7 @@ Bridge(u) <- CorpA.Locked(u)* /\ Outside.Badge(u)
       );
     ]
   in
-  let fed =
-    FL.make
-      (List.map
-         (fun (name, src) -> { FL.fl_name = name; fl_file = name; fl_rolefile = parse src })
-         corpus)
-  in
-  let diags = FL.check ~collusion_threshold:2 fed in
+  let diags = FL.check ~collusion_threshold:2 (federation corpus) in
   let planted = [ "OASIS001"; "OASIS006"; "OASIS007"; "OASIS008" ] in
   List.iter
     (fun code ->
@@ -2194,19 +1770,12 @@ Bridge(u) <- CorpA.Locked(u)* /\ Outside.Badge(u)
      satisfiable but mutually contradictory along the path.  The boolean
      bound says reachable; the prover must prune it. *)
   let inf =
-    FL.make
-      [
-        {
-          FL.fl_name = "Inf";
-          fl_file = "Inf";
-          fl_rolefile =
-            parse {|
+    federation
+      [ ("Inf", {|
 A(u) <-
 B(u) <- A(u)* : u = "a"
 C(u) <- B(u)* : u = "b"
-|};
-        };
-      ]
+|}) ]
   in
   let holder = ("Inf", "A") and target = ("Inf", "C") in
   if not (FL.boolean_can_reach inf ~holder ~target) then
@@ -2216,34 +1785,10 @@ C(u) <- B(u)* : u = "b"
   row "tightening: infeasible A->B->C chain boolean-reachable, symbolically pruned\n";
   (* (c) Scaling: witness proving over e18-style chain federations from the
      deep axiom; every other role must be reached with a witness. *)
-  let sizes =
-    match Sys.getenv_opt "OASIS_E23_SIZES" with
-    | Some s -> List.filter_map int_of_string_opt (String.split_on_char ',' s)
-    | None -> [ 64; 256; 1024; 2048 ]
-  in
-  let roles_per_service = 8 in
-  let gen_federation nroles =
-    let nservices = max 1 (nroles / roles_per_service) in
-    List.init nservices (fun i ->
-        let buf = Buffer.create 256 in
-        for j = 0 to roles_per_service - 1 do
-          if i = 0 && j = 0 then Buffer.add_string buf "R0(u) <-\n"
-          else if j = 0 then
-            Buffer.add_string buf
-              (Printf.sprintf "R0(u) <- S%d.R%d(u)* : u <> \"root\"\n" (i - 1)
-                 (roles_per_service - 1))
-          else Buffer.add_string buf (Printf.sprintf "R%d(u) <- R%d(u)*\n" j (j - 1))
-        done;
-        {
-          FL.fl_name = Printf.sprintf "S%d" i;
-          fl_file = Printf.sprintf "S%d.rdl" i;
-          fl_rolefile = parse (Buffer.contents buf);
-        })
-  in
   row "%12s %12s %12s %14s %14s\n" "roles" "services" "witnesses" "prove (ms)" "us/role";
   List.iter
     (fun nroles ->
-      let members = gen_federation nroles in
+      let members = chain_federation nroles in
       let total = roles_per_service * List.length members in
       let fed = FL.make members in
       let t0 = Sys.time () in
@@ -2260,27 +1805,17 @@ C(u) <- B(u)* : u = "b"
         wits;
       row "%12d %12d %12d %14.2f %14.2f\n" total (List.length members) (List.length wits) dt
         (dt *. 1000.0 /. float_of_int total);
-      let oc = open_out (Printf.sprintf "BENCH_e23_%d.json" total) in
-      output_string oc
-        (J.to_string
-           (J.sorted
-              (J.Obj
-                 [
-                   ("experiment", J.Str "e23");
-                   ("backend", J.Str "sim");
-                   ("clock_domain", J.Str "sim");
-                   ("roles", J.Int total);
-                   ("services", J.Int (List.length members));
-                   ("roles_per_service", J.Int roles_per_service);
-                   ("witnesses", J.Int (List.length wits));
-                   ("prove_ms", J.Float dt);
-                   ("us_per_role", J.Float (dt *. 1000.0 /. float_of_int total));
-                   ("planted_recall", J.Int (List.length planted));
-                 ])));
-      output_string oc "\n";
-      close_out oc;
-      row "         snapshot written to BENCH_e23_%d.json\n" total)
-    sizes;
+      write_snapshot sim_labels "e23" total
+        [
+          ("roles", J.Int total);
+          ("services", J.Int (List.length members));
+          ("roles_per_service", J.Int roles_per_service);
+          ("witnesses", J.Int (List.length wits));
+          ("prove_ms", J.Float dt);
+          ("us_per_role", J.Float (dt *. 1000.0 /. float_of_int total));
+          ("planted_recall", J.Int (List.length planted));
+        ])
+    (sizes "OASIS_E23_SIZES" ~default:[ 64; 256; 1024; 2048 ]);
   row "shape: the agenda visits each (entry, witness) pair once (<=4 witnesses per\n";
   row "       node), but a witness carries its full chain, so on a single deep chain\n";
   row "       the materialized output is quadratic in roles; the per-path atom cap\n";

@@ -296,8 +296,6 @@ let set_auto_revoke t r v = match get t r with Some slot -> slot.auto_revoke <- 
 let on_change t r hook =
   match get t r with Some slot -> slot.hooks <- hook :: slot.hooks | None -> ()
 
-let clear_hooks t r = match get t r with Some slot -> slot.hooks <- [] | None -> ()
-
 let children_count t r = match get t r with Some slot -> Hashtbl.length slot.children | None -> 0
 
 let edge_ops t = t.edge_ops

@@ -80,8 +80,6 @@ val on_change : table -> cref -> (state -> unit) -> unit
 (** Notify hook (sets the paper's [Notify] flag); fires after every state
     change of this record. *)
 
-val clear_hooks : table -> cref -> unit
-
 (** {1 Garbage collection (§4.8)} *)
 
 val gc_sweep : table -> int

@@ -206,8 +206,6 @@ let serve_shard net service ~shard_id =
       | Ok j -> shard_handle ss j reply);
   ss
 
-let shard_server_certs ss = Hashtbl.length ss.ss_certs
-
 (* ------------------------------------------------------------------ *)
 (* Router                                                              *)
 (* ------------------------------------------------------------------ *)

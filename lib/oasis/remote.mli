@@ -37,9 +37,6 @@ val serve_shard : Oasis_sim.Net.t -> Service.t -> shard_id:int -> shard_server
     ({!Service.request_entry}), [validate], [fire], [rehire], [exit].
     Client identities are per-name VCIs minted at this shard. *)
 
-val shard_server_certs : shard_server -> int
-(** Certificates retained in the handle table. *)
-
 (** {1 Router} *)
 
 type router

@@ -421,8 +421,6 @@ let promote t ~member:j ~from_epoch =
         others
   end
 
-let force_promote t j = promote t ~member:j ~from_epoch:t.g_epoch
-
 (* --- heartbeats and leases (one STATIC periodic timer per member) --- *)
 
 (* The timers are created once and never cancelled: whether a member acts

@@ -94,9 +94,6 @@ val promote : t -> member:int -> from_epoch:int -> unit
     is reachable.  Exposed for tests; the lease timers and restart hooks
     call it internally. *)
 
-val force_promote : t -> int -> unit
-(** [promote] from the current epoch (test convenience). *)
-
 val on_promote : t -> (Service.t -> unit) -> unit
 (** Called (in registration order) each time a promotion's replay
     completes, with the new primary — how a scenario rebinds names that

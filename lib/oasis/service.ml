@@ -2047,8 +2047,6 @@ let () = recover_ref := fun t -> recover t
 
 (* --- durability introspection (tests and benches) --- *)
 
-let durable_enabled t = Option.is_some t.sv_durable
-
 let durable_issued t =
   match t.sv_durable with
   | None -> 0

@@ -298,8 +298,6 @@ val gc : t -> int
 
 (** {1 Durability (tests and benches)} *)
 
-val durable_enabled : t -> bool
-
 val durable_issued : t -> int
 (** Issued records currently alive in the durable mirror (0 without
     [disk]). *)

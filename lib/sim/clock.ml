@@ -1,7 +1,5 @@
-type t = { engine : Engine.t; mutable rate : float; mutable offset : float }
+type t = { engine : Engine.t; rate : float; offset : float }
 
 let create ?(rate = 1.0) ?(offset = 0.0) engine = { engine; rate; offset }
 let read t = (t.rate *. Engine.now t.engine) +. t.offset
 let true_time t = Engine.now t.engine
-let set_rate t rate = t.rate <- rate
-let set_offset t offset = t.offset <- offset

@@ -16,6 +16,3 @@ val read : t -> float
 val true_time : t -> float
 (** The engine's (omniscient) time; not available to protocol code, used only
     by the harness for measurement. *)
-
-val set_rate : t -> float -> unit
-val set_offset : t -> float -> unit

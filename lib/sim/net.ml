@@ -19,7 +19,7 @@ type t = {
   prng : Prng.t;
   fault : Fault.t;
   trace : Trace.t;
-  mutable default_latency : latency;
+  default_latency : latency;
   link_latency : (int * int, latency) Hashtbl.t;
   mutable loss : float;
   partitions : (int * int, unit) Hashtbl.t;
@@ -72,7 +72,6 @@ let host_name h = h.name
 let host_clock h = h.clock
 let host_addr h = h.addr
 let find_host t name = List.find_opt (fun h -> String.equal h.name name) t.hosts
-let set_default_latency t l = t.default_latency <- l
 let set_link_latency t src dst l = Hashtbl.replace t.link_latency (src.addr, dst.addr) l
 
 let set_loss t p =
@@ -203,17 +202,11 @@ let rpc_async_retry t ?(category = "rpc") ?size ?(timeout = 2.0) ?attempts ?back
     (fun k1 -> rpc_async t ~category ?size ~timeout ~src ~dst handler k1)
     k
 
-let local_call t ?(category = "local") f =
-  Stats.incr t.stats category;
-  f ()
-
 (* --- named-port messaging (the backend-portable RPC surface) --- *)
 
 let set_remote t rm = t.remote <- rm
 
 let bind t host ~port handler = Hashtbl.replace t.bindings (host.name, port) handler
-
-let unbind t host ~port = Hashtbl.remove t.bindings (host.name, port)
 
 let dispatch t ~dst ~port payload reply =
   match Hashtbl.find_opt t.bindings (dst, port) with

@@ -35,8 +35,6 @@ val host_clock : host -> Clock.t
 val host_addr : host -> int
 val find_host : t -> string -> host option
 
-val set_default_latency : t -> latency -> unit
-
 val set_link_latency : t -> host -> host -> latency -> unit
 (** Override latency on the directed link from the first host to the second. *)
 
@@ -148,9 +146,6 @@ val rpc_async_retry :
     server from a lost request), so handlers must be idempotent under
     overlap, not merely under sequential repetition. *)
 
-val local_call : t -> ?category:string -> (unit -> 'a) -> 'a
-(** Same-host invocation: zero latency, still accounted. *)
-
 (** {1 Named-port messaging (backend-portable RPC)}
 
     The closure-based {!rpc} family above only works when both endpoints
@@ -179,8 +174,6 @@ val bind :
   t -> host -> port:string -> (string -> ((string, string) result -> unit) -> unit) -> unit
 (** Register the serialized-request handler for [port] at a local host.
     The handler may reply asynchronously, from any later engine event. *)
-
-val unbind : t -> host -> port:string -> unit
 
 val dispatch :
   t -> dst:string -> port:string -> string -> ((string, string) result -> unit) -> unit
