@@ -29,6 +29,7 @@ module Site = Oasis_badge.Site
 module Workload = Oasis_badge.Workload
 module Disk = Oasis_store.Disk
 module Wal = Oasis_store.Wal
+module Journal = Oasis_store.Journal
 module J = Oasis_util.Json
 module V = Oasis_rdl.Value
 

@@ -157,9 +157,10 @@ let decode_retained line =
    that misses [8 * ack_every] acks is dead. *)
 let ack_every = 4
 
-(* The retained-event journal checkpoints every 256 appends: its image is
-   the retained queue (one retention window), so the log stays bounded
-   while the queue does. *)
+(* The retained-event journal checkpoints after at least 256 appends (more
+   when the last image held more, by {!Oasis_store.Journal}'s amortized
+   rule): its image is the retained queue (one retention window), so the
+   log stays bounded while the queue does. *)
 let checkpoint_every = 256
 
 let rec create_server net host ~name ?(heartbeat = 1.0) ?(retention = 10.0)

@@ -52,10 +52,11 @@ val create_server :
 
     With [~disk], the retained-event log is durable: every signalled
     event is appended to a {!Oasis_store.Journal} ([broker.<name>.wal],
-    checkpointed every 256 signals to [broker.<name>.snap], whose image is
-    the retained queue) on the given device.  A host crash then drops the
-    in-memory retained queue and a restart rebuilds it from the durable
-    image and log, each event exactly once and in seq order — events
+    checkpointed every [max 256 q] signals, [q] the last image's event
+    count, to [broker.<name>.snap], whose image is the retained queue) on
+    the given device.  A host crash then drops the in-memory retained
+    queue and a restart rebuilds it from the durable image and log, each
+    event exactly once and in seq order — events
     whose group commit had not completed by the crash are genuinely lost,
     which is the honest durability window of group commit.  Without
     [~disk] the retained log is assumed to survive crashes by fiat, as

@@ -36,6 +36,8 @@ type record = {
 type table = {
   mutable slots : record array;
   mutable free : int list;
+      (* freed slots, newest first; may hold stale entries for slots
+         {!restore} re-used, which [alloc] skips (lazy deletion) *)
   mutable high_water : int;
   mutable next_edge : int;
   mutable generation : int;  (* bumped once per cascade *)
@@ -80,11 +82,11 @@ let get t r =
     let slot = t.slots.(r.index) in
     if slot.used && slot.magic = r.magic then Some slot else None
 
-let alloc t =
+let rec alloc t =
   match t.free with
   | i :: rest ->
       t.free <- rest;
-      i
+      if t.slots.(i).used then alloc t else i
   | [] ->
       if t.high_water >= Array.length t.slots then begin
         let bigger = Array.init (2 * Array.length t.slots) (fun _ -> blank ()) in
@@ -473,8 +475,11 @@ let restore t r =
           t.free <- i :: t.free
         done;
         t.high_water <- r.index + 1
-      end
-      else t.free <- List.filter (fun i -> i <> r.index) t.free;
+      end;
+      (* A restored slot below the high-water mark stays on [free], and
+         [alloc] skips it once popped: removing it here would cost
+         O(free) per restore, and recovery restores in key order, not
+         index order, so [free] can hold most of the table. *)
       slot.used <- true;
       slot.magic <- r.magic;
       (* An empty And record: no parents, so it computes True — the caller

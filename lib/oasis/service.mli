@@ -74,8 +74,10 @@ val create :
     [disk] enables the durable-state plane: the §4.11 hire/fire databases
     and issued certificates (with their dependency lists) are journalled
     ({!Oasis_store.Journal}, files [svc.<name>.wal] and [svc.<name>.snap})
-    on the given stable-storage device, checkpointed every
-    [snapshot_every] (default 128) appends, and replayed after a
+    on the given stable-storage device, checkpointed once the appends
+    since the last image reach [max snapshot_every n] ([snapshot_every]
+    defaults to 128; [n] is the last image's record count, so checkpoint
+    work stays linear in the appends), and replayed after a
     host crash+restart — restored certificates resolve again, externals
     re-mirror at [Unknown] until the reread machinery heals them, and
     fired instances stay fired.  The broker's retained event log rides

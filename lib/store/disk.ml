@@ -6,8 +6,11 @@ module Prng = Oasis_util.Prng
 (* One byte file: [data] is everything ever appended this incarnation,
    [synced] the length of the durable prefix.  A crash truncates [data] to
    [synced] plus a seeded-random surviving prefix of the unsynced tail, then
-   marks the survivor durable — the classic torn final write. *)
-type file = { mutable data : Buffer.t; mutable synced : int }
+   marks the survivor durable — the classic torn final write.  [appended]
+   counts every byte ever appended; an in-flight fsync remembers it, so
+   when an atomic replace lands first the flush still finds its bytes,
+   which keep their distance from the end of [data]. *)
+type file = { mutable data : Buffer.t; mutable synced : int; mutable appended : int }
 
 type sim = {
   d_fsync_latency : float;
@@ -47,7 +50,7 @@ let file s name =
   match Hashtbl.find_opt s.d_files name with
   | Some f -> f
   | None ->
-      let f = { data = Buffer.create 256; synced = 0 } in
+      let f = { data = Buffer.create 256; synced = 0; appended = 0 } in
       Hashtbl.add s.d_files name f;
       f
 
@@ -95,6 +98,7 @@ let append t ~file:name data =
       if Net.host_up t.d_net t.d_host then begin
         let f = file s name in
         Buffer.add_string f.data data;
+        f.appended <- f.appended + String.length data;
         Stats.observe (stats t) "store.write" (String.length data)
       end
 
@@ -115,13 +119,14 @@ let fsync t ~file:name k =
   | Sim s ->
       if Net.host_up t.d_net t.d_host then begin
         let f = file s name in
-        let target = Buffer.length f.data in
-        let pending = target - f.synced in
+        let pending = Buffer.length f.data - f.synced in
+        let covered = f.appended in
         let epoch = s.d_epoch in
         let delay = flush_delay s pending in
         Engine.schedule (Net.engine t.d_net) ~tag:("s:" ^ Net.host_name t.d_host) ~delay
           (fun () ->
             if epoch = s.d_epoch && Net.host_up t.d_net t.d_host then begin
+              let target = Buffer.length f.data - (f.appended - covered) in
               if target > f.synced then f.synced <- target;
               Stats.incr (stats t) "store.fsync";
               Stats.observe_latency (stats t) "store.fsync" delay;

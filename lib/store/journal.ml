@@ -7,6 +7,8 @@ type t = {
   j_every : int;
   j_image : unit -> string list;
   mutable j_appends : int;  (* appends since the last checkpoint *)
+  mutable j_image_len : int;  (* records in the last image built *)
+  mutable j_image_bytes : int;  (* framed image bytes written, ever *)
   mutable j_tail : string list;
       (* newest-first records appended since the last checkpoint's image
          point — exactly what the log must still hold once that image is
@@ -23,6 +25,8 @@ let create disk ~file ~every ~image =
       j_every = every;
       j_image = image;
       j_appends = 0;
+      j_image_len = 0;
+      j_image_bytes = 0;
       j_tail = [];
       j_compacting = false;
       j_replicated = false;
@@ -31,6 +35,7 @@ let create disk ~file ~every ~image =
   (* Volatile bookkeeping; an image write in flight dies with the host. *)
   Net.on_crash (Disk.net disk) (Disk.host disk) (fun () ->
       t.j_appends <- 0;
+      t.j_image_len <- 0;
       t.j_tail <- [];
       t.j_compacting <- false);
   t
@@ -42,18 +47,29 @@ let save_image t payload k =
   let st = Net.stats (Disk.net (disk t)) in
   Stats.incr st "store.snapshot";
   Stats.add_bytes st "store.snapshot" (String.length framed);
+  t.j_image_bytes <- t.j_image_bytes + String.length framed;
   Disk.write_atomic (disk t) ~file:t.j_snap framed k
 
 (* Serialize (covering every record up to this instant), save, then compact
    the log to [j_tail] — which keeps accumulating while the image write is
    in flight; appends racing the rewrite itself survive its atomic replace
-   by {!Disk.write_atomic}'s append-preserving semantics. *)
+   by {!Disk.write_atomic}'s append-preserving semantics.
+
+   The trigger is the amortized compaction rule (LSM trees, Raft): wait for
+   at least as many appends as the last image held, so the O(image) cost of
+   each checkpoint is paid for by as many O(1) appends, and the log never
+   holds much more than one image's worth of records. *)
 let maybe_checkpoint t =
-  if (not t.j_replicated) && t.j_appends >= t.j_every && not t.j_compacting then begin
+  if (not t.j_replicated)
+     && t.j_appends >= max t.j_every t.j_image_len
+     && not t.j_compacting
+  then begin
     t.j_appends <- 0;
     t.j_compacting <- true;
     t.j_tail <- [];
-    save_image t (String.concat "\x1c" (t.j_image ())) (fun () ->
+    let image = t.j_image () in
+    t.j_image_len <- List.length image;
+    save_image t (String.concat "\x1c" image) (fun () ->
         Wal.rewrite t.j_wal (List.rev t.j_tail) (fun () -> t.j_compacting <- false))
   end
 
@@ -78,6 +94,7 @@ let durable_bytes t =
   Disk.durable_size (disk t) ~file:(Wal.file t.j_wal)
   + Disk.durable_size (disk t) ~file:t.j_snap
 
+let image_bytes t = t.j_image_bytes
 let set_replicated t = t.j_replicated <- true
 let set_ship t obs = Wal.on_append t.j_wal obs
 let follower_append t line = Wal.follower_append t.j_wal line

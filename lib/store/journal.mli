@@ -2,15 +2,22 @@
     one atomic checkpoint image ([<file>.snap]), and the protocol that
     keeps them consistent across crashes.
 
-    Every [every] appends the journal checkpoints: it starts a fresh
-    {e tail} (the records appended from then on), saves the caller's
-    [image] with {!Disk.write_atomic}, and once the image is durable
-    rewrites the log down to the tail.  At most one checkpoint is in
-    flight.  Each crash window recovers a consistent history: before the
-    image is durable, the old image and old log; between image and
-    rewrite, the new image and the {e old} log (a contiguous suffix that
-    repeats part of the image); after the rewrite, the new image and the
-    tail.  Replay must therefore tolerate repeats — upserts do by
+    The journal checkpoints once the appends since the last image reach
+    [max every n], where [n] is the number of records that image held
+    (the amortized compaction rule of LSM trees and Raft).  A checkpoint
+    starts a fresh {e tail} (the records appended from then on), saves
+    the caller's [image] with {!Disk.write_atomic}, and once the image is
+    durable rewrites the log down to the tail.  At most one checkpoint is
+    in flight.  Each checkpoint's O(n) image is paid for by at least [n]
+    appends, so total checkpoint work stays linear in the appends while
+    replay stays O(live state): one image plus about one image's worth of
+    log.  While images hold at most [every] records the trigger is simply
+    every [every] appends.
+
+    Each crash window recovers a consistent history: before the image is
+    durable, the old image and old log; between image and rewrite, the
+    new image and the {e old} log (a contiguous suffix that repeats part
+    of the image); after the rewrite, the new image and the tail.  Replay must therefore tolerate repeats — upserts do by
     construction; a caller with non-idempotent records skips what it
     already applied.
 
@@ -30,7 +37,8 @@ val disk : t -> Disk.t
 
 val append : t -> string -> unit
 (** Log one record (group commit, as {!Wal.append}), then checkpoint if
-    [every] appends have accumulated since the last checkpoint. *)
+    [max every n] appends have accumulated since the last checkpoint,
+    [n] being the last image's record count (see the module header). *)
 
 val sync : t -> (unit -> unit) -> unit
 (** Run the callback once everything appended so far is durable. *)
@@ -44,6 +52,10 @@ val records : t -> string list
 
 val durable_bytes : t -> int
 (** Durable bytes of log plus image, for {!Disk.scan_delay}. *)
+
+val image_bytes : t -> int
+(** Framed image bytes this journal has written over its life, crashes
+    included: its own share of the [store.snapshot] stat. *)
 
 val set_replicated : t -> unit
 (** Stop checkpointing for good (see the module header). *)

@@ -463,6 +463,54 @@ let test_batched_equals_unbatched () =
     end
   done
 
+(* ------------------------------------------------------------------ *)
+(* Recovery restores in marshalled-key order, not index order           *)
+(* ------------------------------------------------------------------ *)
+
+(* Service recovery restores persisted references sorted by their hex
+   [index.magic] keys, so an early high index puts every lower index on the
+   free list and later restores take slots out of it.  Fresh allocations
+   afterwards must reuse only the gaps (never a restored identity), in
+   the same order as restoring in index order would give. *)
+let test_restore_in_key_order () =
+  (* 20k persisted refs spread over five times as many slots, as in a
+     table whose freed slots outnumber its live ones. *)
+  let n = 20_000 and span = 100_000 in
+  let gap i = i mod (span / n) <> 0 in
+  let refs =
+    List.init span (fun i -> { Credrec.index = i; magic = 1 + (i mod 3) })
+    |> List.filter (fun (r : Credrec.cref) -> not (gap r.index))
+  in
+  let restore_all order =
+    let t = Credrec.create_table () in
+    List.iter (fun r -> checkb "restore honoured" true (Credrec.restore t r)) order;
+    t
+  in
+  let by_key =
+    List.map Credrec.marshal_ref refs
+    |> List.sort String.compare
+    |> List.filter_map Credrec.unmarshal_ref
+  in
+  let t = restore_all by_key in
+  checki "every ref live" (List.length refs) (Credrec.live_records t);
+  let gaps = span - n in
+  let fresh = List.init (gaps + 10) (fun _ -> Credrec.leaf t ()) in
+  let restored = Hashtbl.create n in
+  List.iter (fun (r : Credrec.cref) -> Hashtbl.replace restored r.index ()) refs;
+  checki "no fresh record takes a restored slot" 0
+    (List.length (List.filter (fun (r : Credrec.cref) -> Hashtbl.mem restored r.index) fresh));
+  checkb "the gaps are reused before the table grows" true
+    (List.for_all
+       (fun (r : Credrec.cref) -> gap r.index)
+       (List.filteri (fun i _ -> i < gaps) fresh));
+  checkb "restored refs still resolve" true (List.for_all (Credrec.live t) refs);
+  (match Credrec.self_check t with Ok () -> () | Error m -> Alcotest.fail m);
+  (* Index order has no stale free-list entries; key order must allocate
+     the same identities regardless. *)
+  let t' = restore_all refs in
+  let fresh' = List.init (gaps + 10) (fun _ -> Credrec.leaf t' ()) in
+  checkb "same allocation sequence as restoring in index order" true (fresh = fresh')
+
 let () =
   Alcotest.run "credgraph"
     [
@@ -474,6 +522,8 @@ let () =
         ] );
       ( "asymptotics",
         [
+          Alcotest.test_case "restore 20k refs in key order, then allocate" `Quick
+            test_restore_in_key_order;
           Alcotest.test_case "diamond cascade visits once" `Quick test_diamond_visits_once;
           Alcotest.test_case "O(1) detach at 10k children" `Quick test_detach_is_constant_time;
         ] );

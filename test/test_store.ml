@@ -170,10 +170,30 @@ let test_wal_decoder_fuzz () =
     checkb "other file's key rejects all" true (Wal.decode_with ~key:"other" mutated = [])
   done
 
+(* An fsync issued before an atomic replace that lands first (a short
+   compacted log overtaking a longer flush) must not mark bytes durable
+   past the end of the new contents: its target moves with the bytes it
+   covered. *)
+let test_disk_fsync_racing_shrinking_replace () =
+  let w = make_dworld () in
+  Disk.append w.disk ~file:"f" (String.make 10_000 'a');
+  let flushed = ref false in
+  Disk.fsync w.disk ~file:"f" (fun () -> flushed := true);
+  Disk.write_atomic w.disk ~file:"f" "short" (fun () -> ());
+  Disk.append w.disk ~file:"f" "tail";
+  drun w 1.0;
+  checkb "flush completed" true !flushed;
+  checkb "new contents durable; the later append is not" true
+    (Disk.read w.disk ~file:"f" = "short" && Disk.unsynced w.disk ~file:"f" = 4);
+  Disk.fsync w.disk ~file:"f" (fun () -> ());
+  drun w 1.0;
+  checkb "a later flush covers the tail" true (Disk.read w.disk ~file:"f" = "shorttail")
+
 (* --- journal checkpoints --- *)
 
 (* A journal over a list of records whose image is everything put so far,
-   checkpointing every [every] puts. *)
+   checkpointing every [every] puts while the image holds at most [every]
+   records. *)
 let list_journal w ~every =
   let applied = ref [] in
   let j = Journal.create w.disk ~file:"j" ~every ~image:(fun () -> List.rev !applied) in
@@ -290,6 +310,96 @@ let test_journal_crash_windows () =
   List.iter
     (fun (label, point) ->
       checkb (label ^ ": replay reaches the pre-crash mirror") true (mirror_after point = expected))
+    [
+      ("before image", `Before_image);
+      ("between image and rewrite", `Between);
+      ("after rewrite", `After);
+    ]
+
+(* The amortized trigger on a journal whose image grows with every append
+   (a mirror that only gains entries).  The engine runs between batches of
+   puts, so each checkpoint completes before the next can trigger. *)
+let grown_journal ?seed ~every n =
+  let w = make_dworld ?seed () in
+  let applied = ref [] in
+  let images = ref [] in
+  let image () =
+    let recs = List.rev !applied in
+    images := List.length recs :: !images;
+    recs
+  in
+  let j = Journal.create w.disk ~file:"j" ~every ~image in
+  let put i =
+    let r = Printf.sprintf "r%d" i in
+    applied := r :: !applied;
+    Journal.append j r
+  in
+  for i = 0 to n - 1 do
+    put i;
+    if i mod 64 = 63 then drun w 0.05
+  done;
+  Journal.sync j (fun () -> ());
+  drun w 1.0;
+  (w, j, images, put)
+
+let test_journal_amortized_checkpoints () =
+  let n = 20_000 and every = 16 in
+  let w, j, images, _ = grown_journal ~every n in
+  let count = List.length !images in
+  let bound = int_of_float (Float.log2 (float_of_int n /. float_of_int every)) + 2 in
+  checkb (Printf.sprintf "%d checkpoints <= log2(N/every) + 2 = %d" count bound) true
+    (count >= 1 && count <= bound);
+  checki "every trigger wrote an image" count (Stats.count (Net.stats w.net) "store.snapshot");
+  let last = List.hd !images and total = List.fold_left ( + ) 0 !images in
+  checkb (Printf.sprintf "image records written %d <= 3x the last image %d" total last) true
+    (total <= 3 * last);
+  checkb "log holds at most about one image" true
+    (List.length (Journal.log_records j) <= max every last);
+  let all = List.sort compare (List.init n (Printf.sprintf "r%d")) in
+  checkb "replay recovers every record once" true
+    (List.sort compare (Journal.records j) = all)
+
+(* Crash a grown journal inside the next checkpoint's three windows (as
+   {!test_journal_crash_windows} does for a small one).  The puts up to the
+   trigger were synced beforehand; the trigger's own records join them once
+   their sync fires.  Every synced record recovers, and nothing else. *)
+let test_journal_amortized_crash_windows () =
+  let n = 20_000 in
+  let recovered crash_point =
+    let w, j, images, put = grown_journal ~seed:13L ~every:16 n in
+    let snap_bytes () = Disk.durable_size w.disk ~file:"j.snap" in
+    let before = snap_bytes () and checkpoints = List.length !images in
+    let next = ref n in
+    while List.length !images = checkpoints do
+      put !next;
+      incr next
+    done;
+    let log_durable = ref false in
+    Journal.sync j (fun () -> log_durable := true);
+    (match crash_point with
+    | `Before_image -> checkb "image not yet durable" true (snap_bytes () = before)
+    | `Between ->
+        step_until w (fun () -> snap_bytes () <> before);
+        checkb "log not yet rewritten" true (List.length (Journal.log_records j) >= n / 2)
+    | `After ->
+        drun w 1.0;
+        checki "log rewritten to the empty tail" 0 (List.length (Journal.log_records j)));
+    let synced = if !log_durable then !next else n in
+    Net.crash_host w.net w.host;
+    drun w 1.0;
+    Net.restart_host w.net w.host;
+    let got = Hashtbl.create n in
+    List.iter (fun r -> Hashtbl.replace got r ()) (Journal.records j);
+    let missing =
+      List.init synced Fun.id |> List.filter (fun i -> not (Hashtbl.mem got (Printf.sprintf "r%d" i)))
+    in
+    (List.length missing, Hashtbl.length got <= !next)
+  in
+  List.iter
+    (fun (label, point) ->
+      let missing, bounded = recovered point in
+      checki (label ^ ": every synced record recovers") 0 missing;
+      checkb (label ^ ": no record invented") true bounded)
     [
       ("before image", `Before_image);
       ("between image and rewrite", `Between);
@@ -564,6 +674,11 @@ let () =
             test_wal_rewrite_refuses_pending_callbacks;
           Alcotest.test_case "decoder total under corruption (fuzz)" `Quick test_wal_decoder_fuzz;
         ] );
+      ( "disk",
+        [
+          Alcotest.test_case "fsync racing a shrinking atomic replace" `Quick
+            test_disk_fsync_racing_shrinking_replace;
+        ] );
       ( "snapshot",
         [
           Alcotest.test_case "atomic across crash" `Quick test_snapshot_atomic_across_crash;
@@ -573,6 +688,10 @@ let () =
         [
           Alcotest.test_case "every checkpoint crash window replays the same mirror" `Quick
             test_journal_crash_windows;
+          Alcotest.test_case "amortized trigger: O(log N) checkpoints, linear image work" `Quick
+            test_journal_amortized_checkpoints;
+          Alcotest.test_case "amortized trigger: a grown journal's crash windows lose nothing"
+            `Quick test_journal_amortized_crash_windows;
           Alcotest.test_case "broker crash between image and rewrite keeps events once" `Quick
             test_broker_checkpoint_crash_window;
         ] );
