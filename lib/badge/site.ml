@@ -2,7 +2,6 @@ module Value = Oasis_rdl.Value
 module Net = Oasis_sim.Net
 module Trace = Oasis_sim.Trace
 module Broker = Oasis_events.Broker
-module Service = Oasis_core.Service
 
 type home_record = {
   mutable hr_user : string;
@@ -11,7 +10,6 @@ type home_record = {
 
 type t = {
   s_net : Net.t;
-  s_registry : Service.registry;
   s_name : string;
   s_rooms : string list;
   s_host : Net.host;
@@ -27,14 +25,13 @@ type t = {
    sites resolve each other's Masters and Namers. *)
 let directory : (string, t) Hashtbl.t = Hashtbl.create 8
 
-let create net registry ~name ~rooms ?(heartbeat = 1.0) () =
+let create net _registry ~name ~rooms ?(heartbeat = 1.0) () =
   let host = Net.add_host net ("site." ^ name) in
   let master = Broker.create_server net host ~name:("Master@" ^ name) ~heartbeat () in
   let namer = Broker.create_server net host ~name:("Namer@" ^ name) ~heartbeat ~retention:1e9 () in
   let t =
     {
       s_net = net;
-      s_registry = registry;
       s_name = name;
       s_rooms = rooms;
       s_host = host;

@@ -25,6 +25,8 @@ val create :
   ?heartbeat:float ->
   unit ->
   t
+(** The registry argument is not consulted: sites resolve each other
+    through their own directory, not through OASIS services. *)
 
 val name : t -> string
 val rooms : t -> string list

@@ -19,7 +19,7 @@ type delivery = { d_seq : int; d_items : item list; d_horizon : float }
 type creg = {
   cr_tpl : Event.template;
   cr_cb : Event.t -> unit;
-  mutable cr_floor : float;  (* replay floor: original ~since, or horizon at registration *)
+  cr_floor : float;  (* replay floor: original ~since, or horizon at registration *)
   mutable cr_last_seen : int;
 }
 

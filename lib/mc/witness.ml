@@ -49,7 +49,7 @@ let pos_var_eqs c =
       | _ -> acc)
     [] c
 
-let rec expr_has_call = function
+let expr_has_call = function
   | Ast.Elit _ | Ast.Evar _ -> false
   | Ast.Ecall _ -> true
 
@@ -161,7 +161,7 @@ let compile ~fed (w : FL.witness) : (plan, string) result =
                 else if V.equal va (default a) then Hashtbl.replace vals a vb)
             eqs
         done);
-    let rec eval_expr = function
+    let eval_expr = function
       | Ast.Elit v -> v
       | Ast.Evar v -> value_of v
       | Ast.Ecall _ -> raise (Not_compilable "extension call in a symbolic argument")

@@ -10,8 +10,8 @@
    positions.  Two mechanisms repair this, VSR-style:
 
    - every promotion appends an {e epoch barrier} record to the stream
-     (skipped by Service replay), so a log's own content names the last
-     epoch it was reconciled with;
+     ({!Ledger.barrier}, a ledger record that replay skips), so a log's
+     own content names the last epoch it was reconciled with;
    - shipping verifies content, not just counts: after a promotion resets
      every ack cursor to 0, the first batches re-walk each backup's log
      against the stream and rewrite the log at the first divergence (and
@@ -103,23 +103,6 @@ let check_waiters t =
   let fire, wait = List.partition (fun (s, _) -> quorum_durable t s) t.g_waiters in
   t.g_waiters <- wait;
   List.iter (fun (_, k) -> k ()) (List.rev fire)
-
-(* --- epoch barriers --- *)
-
-(* A barrier is an ordinary stream record shaped like a journal record with
-   the reserved tag "B" (Service.apply_record ignores unknown tags), so a
-   log's content carries its own reconciliation history: [last_barrier] of
-   a member's log is the last epoch whose stream the log is known to be a
-   prefix of. *)
-let barrier epoch = String.concat "\x1f" [ "B"; string_of_int epoch ]
-
-let last_barrier records =
-  List.fold_left
-    (fun acc r ->
-      match String.split_on_char '\x1f' r with
-      | [ "B"; e ] -> ( match int_of_string_opt e with Some e -> e | None -> acc)
-      | _ -> acc)
-    0 records
 
 (* --- the receiver-side log cache --- *)
 
@@ -261,7 +244,7 @@ let rec ship_to t j =
 
 let ship_all t = Array.iteri (fun j _ -> ship_to t j) t.g_members
 
-(* --- the quorum ack hook (Service.ack_when_durable lands here) --- *)
+(* --- the quorum ack hook (Ledger.ack lands here) --- *)
 
 let quorum_sync t j k =
   let m = t.g_members.(j) in
@@ -362,7 +345,7 @@ let promote t ~member:j ~from_epoch =
               let won =
                 List.fold_left
                   (fun best log ->
-                    let score = (last_barrier log, List.length log) in
+                    let score = (Ledger.last_barrier log, List.length log) in
                     match best with
                     | Some (bscore, _) when bscore >= score -> best
                     | _ -> Some (score, log))
@@ -370,7 +353,7 @@ let promote t ~member:j ~from_epoch =
                   (mine :: List.map snd !replies)
                 |> function Some (_, log) -> log | None -> mine
               in
-              let full = won @ [ barrier target ] in
+              let full = won @ [ Ledger.barrier target ] in
               Journal.rewrite (journal cand) full (fun () ->
                   if t.g_epoch = target && Net.host_up t.g_net cand.m_host then
                     Service.recover cand.m_svc ~on_done:(fun () ->

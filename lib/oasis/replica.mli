@@ -9,7 +9,7 @@
     — is shipped to backups as checksum-framed batches over the simulated
     network ({!Oasis_store.Wal.frame_with}), journalled by
     {!Oasis_store.Journal.follower_append}, and acked only once durable at the
-    receiver.  Client acks ({!Service.ack_when_durable}) wait for a
+    receiver.  Client acks ({!Ledger.ack}) wait for a
     majority write quorum (⌈(K+1)/2⌉): losing any minority of replicas —
     including the primary and its disk — loses no acknowledged operation.
 

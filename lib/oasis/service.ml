@@ -16,9 +16,6 @@ module Engine = Oasis_sim.Engine
 module Clock = Oasis_sim.Clock
 module Broker = Oasis_events.Broker
 module Event = Oasis_events.Event
-module Disk = Oasis_store.Disk
-module Journal = Oasis_store.Journal
-module Hex = Oasis_util.Hex
 
 type value = Value.t
 
@@ -67,36 +64,6 @@ type peer_link = {
    credential record seen through an optional negation. *)
 type compiled = Const of bool | Ref of Credrec.cref * bool  (* negated *)
 
-(* --- durable-state plane (§4.11 databases + issued memberships) ---
-
-   With [~disk] the service journals the facts it promises to remember
-   across failures — §4.11's hire/fire databases (the blacklist) and the
-   certificates it has issued — to a write-ahead log on simulated stable
-   storage, checkpointed by snapshots.  What a certificate's validity
-   {e depends on} is recorded as a small dependency list so recovery can
-   re-materialise the credential-record subgraph backing issued
-   certificates; delegation ties and group-derived residuals are NOT
-   persisted (a recovered record that depended on them reads the dangling
-   reference as permanently False — fail closed, per the reference-magic
-   convention). *)
-
-type dep =
-  | Dext of string * string  (* issuing peer service, remote record key *)
-  | Dloc of string  (* key of a local record (itself issued/durable) *)
-
-type issued = {
-  mutable i_alive : bool;  (* False once explicitly invalidated *)
-  i_deps : dep list;
-  i_rbrs : (string * string * string) list;
-      (* (role, marshalled args, revoker role): §4.11 revocation arms to
-         re-create on recovery *)
-}
-
-type durable = {
-  du_journal : Journal.t;
-  du_issued : (string, issued) Hashtbl.t;  (* marshalled local ref -> record *)
-}
-
 type t = {
   sv_net : Net.t;
   sv_host : Net.host;
@@ -123,7 +90,6 @@ type t = {
   (* role-based revocation state (§4.11) *)
   sv_rbr : (string * string, (Ast.role_ref * Credrec.cref) list ref) Hashtbl.t;
       (* (role, marshalled args) -> revoker role + record, per live membership *)
-  sv_blacklist : (string * string, unit) Hashtbl.t;
   mutable sv_audit : audit_entry list;
   sv_sig_cache : (string, unit) Cache.t;
   sv_batch : bool;
@@ -133,12 +99,7 @@ type t = {
       (* trace context ambient when each pending mod was recorded, so the
          digest flush can join the revocation trace that caused it *)
   sv_residuals : (string, compiled) Cache.t;
-  sv_durable : durable option;
-  mutable sv_repl_sync : ((unit -> unit) -> unit) option;
-      (* replication quorum hook (see {!Replica}): when set, client acks
-         wait for a write quorum instead of just the local group commit,
-         and log compaction is disabled so the WAL stays in the replica
-         group's global stream coordinates *)
+  sv_ledger : Ledger.t;  (* the §4.11 databases and the issued mirror *)
   mutable sv_auto_recover : bool;
       (* run [recover] automatically from the host-restart hook; a replica
          group disables this and drives recovery through its epoch/promote
@@ -181,154 +142,16 @@ let audit t kind detail = t.sv_audit <- { at = now t; kind; detail } :: t.sv_aud
 let stats t = Net.stats t.sv_net
 let tracer t = Net.trace t.sv_net
 
-(* --- write-ahead-log records for the durable plane ---
-
-   One record per logged transition; fields are separated by ['\x1f'],
-   list items by ['\x1e'], item subfields by ['\x1d'].  Free-form bytes
-   (role names, marshalled argument strings, peer names) are hex-encoded
-   so they cannot collide with the separators; record keys are already
-   separator-free ([Credrec.marshal_ref] is hex plus a dot).  The grammar:
-
-   - [F role args]       fire: blacklist the role instance (§4.11)
-   - [H role args]       re-hire: drop the blacklist entry
-   - [I key deps rbrs]   certificate issued over record [key]
-   - [V key]             record [key] explicitly invalidated
-
-   A snapshot payload is the same records (current blacklist, then each
-   issued record followed by its [V] if dead) joined with ['\x1c'];
-   replaying the full log over a snapshot is idempotent because every
-   record is an upsert. *)
-
-let rec_fire (role, argskey) = String.concat "\x1f" [ "F"; Hex.encode role; Hex.encode argskey ]
-let rec_hire (role, argskey) = String.concat "\x1f" [ "H"; Hex.encode role; Hex.encode argskey ]
-let rec_invalidate key = String.concat "\x1f" [ "V"; key ]
-
-let enc_dep = function
-  | Dext (peer, rkey) -> String.concat "\x1d" [ "E"; Hex.encode peer; rkey ]
-  | Dloc key -> String.concat "\x1d" [ "L"; key ]
-
-let dec_dep s =
-  match String.split_on_char '\x1d' s with
-  | [ "E"; peer; rkey ] -> Option.map (fun p -> Dext (p, rkey)) (Hex.decode peer)
-  | [ "L"; key ] -> Some (Dloc key)
-  | _ -> None
-
-let enc_rbr (role, argskey, revoker) =
-  String.concat "\x1d" [ Hex.encode role; Hex.encode argskey; Hex.encode revoker ]
-
-let dec_rbr s =
-  match String.split_on_char '\x1d' s with
-  | [ role; argskey; revoker ] ->
-      let ( let* ) = Option.bind in
-      let* role = Hex.decode role in
-      let* argskey = Hex.decode argskey in
-      let* revoker = Hex.decode revoker in
-      Some (role, argskey, revoker)
-  | _ -> None
-
-let rec_issue key deps rbrs =
-  String.concat "\x1f"
-    [
-      "I";
-      key;
-      String.concat "\x1e" (List.map enc_dep deps);
-      String.concat "\x1e" (List.map enc_rbr rbrs);
-    ]
-
-let split_items s = if s = "" then [] else String.split_on_char '\x1e' s
-
-(* Apply one log record to the durable mirror (blacklist + issued table).
-   Total and idempotent: recovery replays snapshot then log in order. *)
-let apply_record t du line =
-  match String.split_on_char '\x1f' line with
-  | [ "F"; role; argskey ] -> (
-      match (Hex.decode role, Hex.decode argskey) with
-      | Some role, Some argskey -> Hashtbl.replace t.sv_blacklist (role, argskey) ()
-      | _ -> ())
-  | [ "H"; role; argskey ] -> (
-      match (Hex.decode role, Hex.decode argskey) with
-      | Some role, Some argskey -> Hashtbl.remove t.sv_blacklist (role, argskey)
-      | _ -> ())
-  | [ "I"; key; deps; rbrs ] ->
-      let deps = List.filter_map dec_dep (split_items deps) in
-      let rbrs = List.filter_map dec_rbr (split_items rbrs) in
-      Hashtbl.replace du.du_issued key { i_alive = true; i_deps = deps; i_rbrs = rbrs }
-  | [ "V"; key ] -> (
-      match Hashtbl.find_opt du.du_issued key with
-      | Some i -> i.i_alive <- false
-      | None -> ())
-  | _ -> ()
-
-(* Dead issued records are dropped from the checkpoint (and purged from
-   the in-memory mirror), so the snapshot stays O(live state) under churn
-   instead of O(history).  Dropping is safe: a dropped identity is never
-   restored, so references to it dangle and read permanently False — the
-   paper's licence to delete records whose value is false forever — and a
-   later fresh allocation of the slot bumps the magic past the dropped
-   identity, so old references cannot resurrect against new records. *)
-let serialize_mirror blacklist issued =
-  let dead =
-    Hashtbl.fold (fun key i acc -> if i.i_alive then acc else key :: acc) issued []
-  in
-  List.iter (Hashtbl.remove issued) dead;
-  let fires =
-    Hashtbl.fold (fun key () acc -> rec_fire key :: acc) blacklist []
-    |> List.sort String.compare
-  in
-  let issues =
-    Hashtbl.fold (fun key i acc -> rec_issue key i.i_deps i.i_rbrs :: acc) issued []
-    |> List.sort String.compare
-  in
-  fires @ issues
-
-let persist_fire t key =
-  match t.sv_durable with Some du -> Journal.append du.du_journal (rec_fire key) | None -> ()
-
-let persist_hire t key =
-  match t.sv_durable with Some du -> Journal.append du.du_journal (rec_hire key) | None -> ()
-
-(* Fire/re-hire acks must not outrun the WAL: if the service crashed in the
-   group-commit window after replying Ok, recovery would resurrect a
-   membership the revoker was told is gone.  So success replies ride the
-   next fsync; a crash that loses the record also swallows the ack.  Under
-   replication the bar is higher still: the ack waits for a write quorum
-   of the replica group (the [sv_repl_sync] hook), so even losing the
-   primary's disk entirely cannot lose an acknowledged transition. *)
-let ack_when_durable t k =
-  match t.sv_repl_sync with
-  | Some quorum -> quorum k
-  | None -> (
-      match t.sv_durable with None -> k () | Some du -> Journal.sync du.du_journal k)
-
 (* --- replication hooks (the {!Replica} module drives these) --- *)
 
-(* A replicated service's journal never compacts: it is the replica
-   group's shipped record stream (see {!Journal.set_replicated}). *)
-let set_replication t ~sync =
-  t.sv_repl_sync <- Some sync;
-  Option.iter (fun du -> Journal.set_replicated du.du_journal) t.sv_durable
-
-let journal t = Option.map (fun du -> du.du_journal) t.sv_durable
+let set_replication t ~sync = Ledger.set_replication t.sv_ledger ~sync
+let journal t = Ledger.journal t.sv_ledger
 let set_auto_recover t b = t.sv_auto_recover <- b
 
 let reregister t = Hashtbl.replace t.sv_registry t.sv_name t
 
 let registered t =
   match find_service t.sv_registry t.sv_name with Some s -> s == t | None -> false
-
-(* Only records backing issued certificates are logged: an invalidation of
-   anything else either cascades from a logged fact at recovery or is
-   reconstructed conservatively (dangling -> False). *)
-let persist_invalidate t cref =
-  match t.sv_durable with
-  | None -> ()
-  | Some du -> (
-      let key = Credrec.marshal_ref cref in
-      match Hashtbl.find_opt du.du_issued key with
-      | Some i when i.i_alive ->
-          i.i_alive <- false;
-          Journal.append du.du_journal (rec_invalidate key)
-      | _ -> ())
 
 (* Root a revocation trace at an invalidation entry point: the cascade runs
    inside the span, so the record-change hooks, the buffered digest, the
@@ -344,7 +167,7 @@ let with_revocation_span t ~reason f =
 
 let invalidate_traced t ~reason cref =
   with_revocation_span t ~reason (fun () -> Credrec.invalidate t.sv_table cref);
-  persist_invalidate t cref
+  Ledger.invalidate t.sv_ledger cref
 
 let roll_secret t =
   Signing.Rolling.roll t.sv_secrets;
@@ -360,233 +183,6 @@ let group t gname =
       let g = Group.create t.sv_table gname in
       Hashtbl.replace t.sv_groups gname g;
       g
-
-(* --- creation --- *)
-
-let assign_role_bits rolefile =
-  let from_entries = Ast.defined_roles rolefile in
-  let from_defs = List.map (fun d -> d.Ast.decl_name) (Ast.defs rolefile) in
-  let all = List.sort_uniq String.compare (from_entries @ from_defs) in
-  (* Deterministic mapping fixed at initialisation (§4.3). *)
-  if List.length all > 62 then Error "too many roles for the role bit-set (max 62)"
-  else Ok (List.mapi (fun i r -> (r, i)) all)
-
-(* Forward reference: [recover] needs the whole credential pipeline
-   (external_record, reread, issue plumbing) defined below, but the restart
-   hook is registered at creation time. *)
-let recover_ref : (t -> unit) ref = ref (fun _ -> ())
-
-(* Federation-wide lint hook.  [Federation_lint] depends on this module
-   (its [of_registry] reads registered services), so registration gating on
-   the OASIS00n codes cannot call it directly; the linter installs itself
-   here at link time.  Until then the hook reports nothing, which matches
-   the pre-federation-lint behaviour. *)
-let federation_linter :
-    (registry -> name:string -> rolefile:Ast.rolefile -> Analyze.diag list) ref =
-  ref (fun _ ~name:_ ~rolefile:_ -> [])
-
-let set_federation_linter f = federation_linter := f
-
-let create net host reg ~name:sv_name ?(rolefile_id = "main") ~rolefile ?(funcs = [])
-    ?resolve_literal ?(compound_certificates = true) ?(fixpoint_entry = false) ?(heartbeat = 1.0)
-    ?(batch_notifications = true) ?(sig_cache_cap = 1024) ?disk ?(snapshot_every = 128)
-    ?(lint = `Warn) ?(register = true) () =
-  match Parser.parse_result ?resolve_literal rolefile with
-  | Error e -> Error e
-  | Ok parsed -> (
-      let callbacks =
-        {
-          Infer.no_callbacks with
-          Infer.external_sig =
-            (fun ~service ~role ->
-              match find_service reg service with
-              | None -> None
-              | Some peer ->
-                  Option.map (fun tys -> tys) (Infer.signature peer.sv_sigs role));
-        }
-      in
-      match Infer.infer ~callbacks parsed with
-      | Error e -> Error ("type error: " ^ e)
-      | Ok sigs -> (
-          let lint_gate =
-            match lint with
-            | `Off -> None
-            | (`Warn | `Strict) as mode ->
-                let context =
-                  {
-                    Analyze.default_context with
-                    Analyze.infer = callbacks;
-                    known_funcs = Some (List.map fst funcs @ [ "unixacl"; "acl" ]);
-                  }
-                in
-                let diags = Analyze.check ~file:sv_name ~context parsed in
-                (* Federation-wide codes (OASIS001-008) over the already
-                   registered peers plus this service, keeping only the
-                   diagnostics anchored at this service: joining must not
-                   fail on a defect that is a peer's alone. *)
-                let diags =
-                  if register then
-                    diags
-                    @ List.filter
-                        (fun d -> String.equal d.Analyze.file sv_name)
-                        (!federation_linter reg ~name:sv_name ~rolefile:parsed)
-                  else diags
-                in
-                let gating = List.filter (Analyze.gates ~strict:(mode = `Strict)) diags in
-                (match gating with
-                | [] ->
-                    (* Non-gating findings are logged, not fatal. *)
-                    List.iter
-                      (fun d -> Logs.warn (fun m -> m "%s" (Analyze.diag_to_string d)))
-                      diags;
-                    None
-                | d :: _ ->
-                    Some
-                      (Printf.sprintf "lint: %s%s" (Analyze.diag_to_string d)
-                         (match List.length gating with
-                         | 1 -> ""
-                         | n -> Printf.sprintf " (and %d more issue(s))" (n - 1))))
-          in
-          match lint_gate with
-          | Some e -> Error e
-          | None -> (
-          match assign_role_bits parsed with
-          | Error e -> Error e
-          | Ok bits ->
-              let prng = Prng.create (Int64.of_int (Hashtbl.hash sv_name + 7)) in
-              let blacklist = Hashtbl.create 16 in
-              let durable =
-                Option.map
-                  (fun d ->
-                    let issued = Hashtbl.create 64 in
-                    {
-                      du_journal =
-                        Journal.create d ~file:("svc." ^ sv_name) ~every:snapshot_every
-                          ~image:(fun () -> serialize_mirror blacklist issued);
-                      du_issued = issued;
-                    })
-                  disk
-              in
-              let t =
-                {
-                  sv_net = net;
-                  sv_host = host;
-                  sv_registry = reg;
-                  sv_name;
-                  sv_rolefile_id = rolefile_id;
-                  sv_rolefile = parsed;
-                  sv_sigs = sigs;
-                  sv_role_bits = bits;
-                  sv_secrets = Signing.Rolling.create prng;
-                  sv_compound = compound_certificates;
-                  sv_fixpoint = fixpoint_entry;
-                  sv_table = Credrec.create_table ();
-                  sv_groups = Hashtbl.create 8;
-                  sv_funcs = funcs;
-                  sv_broker =
-                    Broker.create_server net host ~name:sv_name ~heartbeat
-                      ~coalesce:batch_notifications ?disk ();
-                  sv_peers = Hashtbl.create 8;
-                  sv_notifying = Hashtbl.create 64;
-                  sv_family = Hashtbl.create 4;
-                  sv_rbr = Hashtbl.create 16;
-                  sv_blacklist = blacklist;
-                  sv_audit = [];
-                  sv_sig_cache = Cache.create sig_cache_cap;
-                  sv_batch = batch_notifications;
-                  sv_policy_hash = Hashtbl.hash rolefile;
-                  sv_pending_mods = Hashtbl.create 64;
-                  sv_pending_ctx = Hashtbl.create 64;
-                  sv_residuals = Cache.create 4096;
-                  sv_durable = durable;
-                  sv_repl_sync = None;
-                  sv_auto_recover = true;
-                  sv_crypto_checks = 0;
-                  sv_cache_hits = 0;
-                }
-              in
-              (* Backup replicas share the primary's name but must not
-                 shadow it in the registry; promotion re-registers. *)
-              if register then Hashtbl.replace reg sv_name t;
-              (match durable with
-              | None -> ()
-              | Some du ->
-                  (* Crash: volatile state dies.  Every credential record
-                     backing an issued certificate, every §4.11 revoker arm
-                     and every external surrogate is forgotten from the
-                     in-memory table (their children now read a dangling —
-                     permanently False — reference: fail closed), sessions
-                     drop, caches clear.  The durable mirror on [disk]
-                     survives and is replayed by the restart hook. *)
-                  Net.on_crash net host (fun () ->
-                      Hashtbl.iter
-                        (fun _ pl ->
-                          Option.iter Broker.close pl.pl_session;
-                          Hashtbl.iter
-                            (fun _ surrogate -> Credrec.forget t.sv_table surrogate)
-                            pl.pl_externals)
-                        t.sv_peers;
-                      Hashtbl.iter
-                        (fun _ cell ->
-                          List.iter (fun (_, rbr) -> Credrec.forget t.sv_table rbr) !cell)
-                        t.sv_rbr;
-                      Hashtbl.iter
-                        (fun key _ ->
-                          Hashtbl.remove t.sv_notifying key;
-                          match Credrec.unmarshal_ref key with
-                          | Some cref -> Credrec.forget t.sv_table cref
-                          | None -> ())
-                        du.du_issued;
-                      Hashtbl.reset t.sv_peers;
-                      Hashtbl.reset t.sv_rbr;
-                      Hashtbl.reset t.sv_blacklist;
-                      Hashtbl.reset du.du_issued;
-                      Hashtbl.reset t.sv_pending_mods;
-                      Hashtbl.reset t.sv_pending_ctx;
-                      Cache.clear t.sv_sig_cache;
-                      Cache.clear t.sv_residuals);
-                  Net.on_restart net host (fun () -> if t.sv_auto_recover then !recover_ref t));
-              (* Batched notification: record changes accumulate in
-                 [sv_pending_mods] and are flushed as ONE ModifiedBatch
-                 digest at the top of each broker heartbeat tick, so the
-                 digest rides that very tick's coalesced heartbeat message
-                 (steady-state: O(peers) messages per period, §4.10). *)
-              if batch_notifications then
-                Broker.on_heartbeat_tick t.sv_broker (fun () ->
-                    if Hashtbl.length t.sv_pending_mods > 0 then begin
-                      let mods =
-                        Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.sv_pending_mods []
-                        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-                      in
-                      Hashtbl.reset t.sv_pending_mods;
-                      Stats.observe (Net.stats net) "oasis.mods.flush" (List.length mods);
-                      let digest =
-                        String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) mods)
-                      in
-                      (* The flush span's parent is the buffered context
-                         with the earliest origin: a digest merging several
-                         bursts is attributed to the oldest one it carries,
-                         so no end-to-end latency is under-reported. *)
-                      let tr = Net.trace net in
-                      let parent =
-                        Hashtbl.fold
-                          (fun _ c acc ->
-                            match acc with
-                            | Some best when Trace.origin best <= Trace.origin c -> acc
-                            | _ -> Some c)
-                          t.sv_pending_ctx None
-                      in
-                      Hashtbl.reset t.sv_pending_ctx;
-                      let sp = Trace.start tr ?parent "revoke.flush" in
-                      Trace.add_attr sp "mods" (string_of_int (List.length mods));
-                      Trace.with_ctx tr
-                        (Some (Trace.ctx_of sp))
-                        (fun () ->
-                          ignore
-                            (Broker.signal t.sv_broker "ModifiedBatch" [ Value.Str digest ]));
-                      Trace.finish tr sp
-                    end);
-              Ok t)))
 
 (* --- Modified event notification for records other services depend on --- *)
 
@@ -615,6 +211,10 @@ let arm_notification t cref =
 (* Signature length in hex chars.  §4.2 lets each service trade length
    against forgery cost; every service here signs at 16. *)
 let sig_length = 16
+
+(* Cache caps; DESIGN.md's resolved defaults give the reason for each. *)
+let sig_cache_cap = 1024
+let residual_cache_cap = 4096
 
 let verify_rmc_sig t cert =
   let key = cert.Cert.rmc_sig ^ "|" ^ Cert.rmc_payload cert in
@@ -753,85 +353,6 @@ let rec reread_pending t pl peer session =
       end
   | _ -> pl.pl_rereading <- false
 
-(* Forward reference: the stale-session registry watch needs the whole
-   link plumbing (batch registration, reread) defined below, but is armed
-   from the staleness hook installed at connect time. *)
-let retarget_ref : (t -> peer_link -> Broker.session -> unit) ref = ref (fun _ _ _ -> ())
-
-(* One connect attempt to a peer's broker.  Failure does not abandon the
-   link: if continuations are still queued (a recovery-time reread, a
-   pending notification registration) the attempt is retried after a peer
-   heartbeat, for as long as this link is still the live one in
-   [sv_peers] — a crash on our side resets the peer table and orphans the
-   loop, which then stops. *)
-let rec connect_peer t pl peer =
-  pl.pl_connecting <- true;
-  Broker.connect t.sv_net t.sv_host (broker peer)
-    ~credentials:[ "service:" ^ t.sv_name ]
-    ~on_result:(fun result ->
-      pl.pl_connecting <- false;
-      match result with
-      | Error _ ->
-          if pl.pl_queued <> [] then
-            Engine.schedule (Net.engine t.sv_net)
-              ~delay:(Broker.server_heartbeat (broker peer))
-              (fun () ->
-                let live =
-                  match Hashtbl.find_opt t.sv_peers pl.pl_peer with
-                  | Some pl' -> pl' == pl
-                  | None -> false
-                in
-                if
-                  live && pl.pl_session = None && (not pl.pl_connecting)
-                  && pl.pl_queued <> []
-                then connect_peer t pl peer)
-      | Ok session ->
-          pl.pl_session <- Some session;
-          pl.pl_bound_host <- Net.host_name peer.sv_host;
-          (* §4.10: missed heartbeats mark every external record
-             from this peer Unknown; recovery batch-rereads the
-             states over one reliable RPC per link. *)
-          Broker.on_staleness session (fun is_stale ->
-              if is_stale then begin
-                Hashtbl.iter
-                  (fun _ local_ref ->
-                    Credrec.set_leaf t.sv_table local_ref Credrec.Unknown)
-                  pl.pl_externals;
-                (* While stale, watch the registry: if the peer's entry
-                   moves to another host (replica failover), this session
-                   can never heal — the watch rebinds the link to the new
-                   primary's broker. *)
-                if not pl.pl_retargeting then begin
-                  pl.pl_retargeting <- true;
-                  Engine.schedule (Net.engine t.sv_net)
-                    ~delay:(Broker.server_heartbeat t.sv_broker)
-                    (fun () -> !retarget_ref t pl session)
-                end
-              end
-              else begin
-                Hashtbl.iter
-                  (fun key _ -> Hashtbl.replace pl.pl_reread_pending key ())
-                  pl.pl_externals;
-                match find_service t.sv_registry pl.pl_peer with
-                | None -> ()
-                | Some peer ->
-                    if not pl.pl_rereading then reread_pending t pl peer session
-              end);
-          let queued = List.rev pl.pl_queued in
-          pl.pl_queued <- [];
-          List.iter (fun k -> k session) queued)
-    ()
-
-let with_peer_session t pl k =
-  match pl.pl_session with
-  | Some s -> k s
-  | None ->
-      pl.pl_queued <- k :: pl.pl_queued;
-      if not pl.pl_connecting then (
-        match find_service t.sv_registry pl.pl_peer with
-        | None -> () (* unknown peer: queued actions never run; externals stay Unknown *)
-        | Some peer -> connect_peer t pl peer)
-
 let state_of_string = function
   | "true" -> Credrec.True
   | "false" -> Credrec.False
@@ -862,11 +383,84 @@ let apply_mod_digest t pl digest =
       | Some ctx -> Stats.observe_latency (stats t) "oasis.revoke.e2e" (Trace.since_origin tr ctx)
       | None -> ())
 
+(* Whether [pl] is still this service's live link to its peer: a crash
+   on our side resets the peer table and orphans the old links. *)
+let link_live t pl =
+  match Hashtbl.find_opt t.sv_peers pl.pl_peer with Some pl' -> pl' == pl | None -> false
+
+(* One connect attempt to a peer's broker.  Failure does not abandon the
+   link: if continuations are still queued (a recovery-time reread, a
+   pending notification registration) the attempt is retried after a peer
+   heartbeat, for as long as this link is still the live one in
+   [sv_peers]; an orphaned loop stops. *)
+let rec connect_peer t pl peer =
+  pl.pl_connecting <- true;
+  Broker.connect t.sv_net t.sv_host (broker peer)
+    ~credentials:[ "service:" ^ t.sv_name ]
+    ~on_result:(fun result ->
+      pl.pl_connecting <- false;
+      match result with
+      | Error _ ->
+          if pl.pl_queued <> [] then
+            Engine.schedule (Net.engine t.sv_net)
+              ~delay:(Broker.server_heartbeat (broker peer))
+              (fun () ->
+                if
+                  link_live t pl && pl.pl_session = None && (not pl.pl_connecting)
+                  && pl.pl_queued <> []
+                then connect_peer t pl peer)
+      | Ok session ->
+          pl.pl_session <- Some session;
+          pl.pl_bound_host <- Net.host_name peer.sv_host;
+          (* §4.10: missed heartbeats mark every external record
+             from this peer Unknown; recovery batch-rereads the
+             states over one reliable RPC per link. *)
+          Broker.on_staleness session (fun is_stale ->
+              if is_stale then begin
+                Hashtbl.iter
+                  (fun _ local_ref ->
+                    Credrec.set_leaf t.sv_table local_ref Credrec.Unknown)
+                  pl.pl_externals;
+                (* While stale, watch the registry: if the peer's entry
+                   moves to another host (replica failover), this session
+                   can never heal — the watch rebinds the link to the new
+                   primary's broker. *)
+                if not pl.pl_retargeting then begin
+                  pl.pl_retargeting <- true;
+                  Engine.schedule (Net.engine t.sv_net)
+                    ~delay:(Broker.server_heartbeat t.sv_broker)
+                    (fun () -> retarget_watch t pl session)
+                end
+              end
+              else begin
+                Hashtbl.iter
+                  (fun key _ -> Hashtbl.replace pl.pl_reread_pending key ())
+                  pl.pl_externals;
+                match find_service t.sv_registry pl.pl_peer with
+                | None -> ()
+                | Some peer ->
+                    if not pl.pl_rereading then reread_pending t pl peer session
+              end);
+          let queued = List.rev pl.pl_queued in
+          pl.pl_queued <- [];
+          List.iter (fun k -> k session) queued)
+    ()
+
+and with_peer_session t pl k =
+  match pl.pl_session with
+  | Some s -> k s
+  | None ->
+      pl.pl_queued <- k :: pl.pl_queued;
+      if not pl.pl_connecting then (
+        match find_service t.sv_registry pl.pl_peer with
+        | None -> () (* unknown peer: queued actions never run; externals stay Unknown *)
+        | Some peer -> connect_peer t pl peer)
+
 (* One registration per peer link covers every mirrored record when the
    issuer batches; otherwise external records would each need their own
    template and the issuer's signal path would scan O(records)
    registrations per change. *)
-let ensure_batch_registration t pl =
+and ensure_batch_registration t pl =
   if not pl.pl_batch_reg then begin
     pl.pl_batch_reg <- true;
     with_peer_session t pl (fun session ->
@@ -887,14 +481,11 @@ let ensure_batch_registration t pl =
    reread there, so revocation digests flow again.  If the peer heals in
    place (same host restarted), the ordinary §4.10 reread path takes over
    and the watch stands down. *)
-let rec retarget_watch t pl session =
-  let live =
-    match Hashtbl.find_opt t.sv_peers pl.pl_peer with Some pl' -> pl' == pl | None -> false
-  in
+and retarget_watch t pl session =
   let current =
     match pl.pl_session with Some s -> s == session | None -> false
   in
-  if not (live && current) then pl.pl_retargeting <- false
+  if not (link_live t pl && current) then pl.pl_retargeting <- false
   else if not (Broker.stale session) then pl.pl_retargeting <- false
   else
     match find_service t.sv_registry pl.pl_peer with
@@ -918,8 +509,6 @@ let rec retarget_watch t pl session =
         Engine.schedule (Net.engine t.sv_net)
           ~delay:(Broker.server_heartbeat t.sv_broker)
           (fun () -> retarget_watch t pl session)
-
-let () = retarget_ref := retarget_watch
 
 (* Create (or reuse) the local surrogate for a remote credential record and
    arm event notification for its changes. *)
@@ -1072,8 +661,8 @@ type membership = {
   m_args : value list;
   m_crr : Credrec.cref;
   m_fresh : bool;  (* produced during this request (eligible for compounding) *)
-  m_deps : dep list;  (* durable dependencies feeding [m_crr] *)
-  m_rbrs : (string * string * string) list;  (* §4.11 revoker arms under [m_crr] *)
+  m_deps : Ledger.dep list;  (* durable dependencies feeding [m_crr] *)
+  m_rbrs : Ledger.rbr list;  (* §4.11 revoker arms under [m_crr] *)
 }
 
 let match_args env ref_args actual =
@@ -1089,22 +678,7 @@ let match_args env ref_args actual =
     in
     go env (List.combine ref_args actual)
 
-let find_credential t env (role_ref : Ast.role_ref) memberships =
-  let service_matches m =
-    match role_ref.Ast.sref.Ast.service with
-    | None -> in_family t m.m_service
-    | Some svc -> String.equal m.m_service svc
-  in
-  let rec go = function
-    | [] -> None
-    | m :: rest -> (
-        if service_matches m && List.mem role_ref.Ast.role m.m_roles then
-          match match_args env role_ref.Ast.ref_args m.m_args with
-          | Some env' -> Some (env', m)
-          | None -> go rest
-        else go rest)
-  in
-  go memberships
+let same_args a b = List.length a = List.length b && List.for_all2 Value.equal a b
 
 let head_args_values env args =
   let rec go acc = function
@@ -1142,6 +716,18 @@ let enumerate_matches t memberships creds =
   in
   go [] [] creds
 
+(* Arm a §4.11 revoker record under the role instance [key]. *)
+let arm_revoker t key revoker rbr =
+  let cell =
+    match Hashtbl.find_opt t.sv_rbr key with
+    | Some c -> c
+    | None ->
+        let c = ref [] in
+        Hashtbl.replace t.sv_rbr key c;
+        c
+  in
+  cell := (revoker, rbr) :: !cell
+
 (* Complete one credential assignment into a membership: elector-argument
    unification, constraint evaluation, head-argument synthesis, blacklist
    check, and credential-record assembly (fig 4.6). *)
@@ -1177,7 +763,7 @@ let complete_match t (entry : Ast.entry) dcerts (env, used) =
           | Some args ->
               if
                 entry.Ast.revoker <> None
-                && Hashtbl.mem t.sv_blacklist (blacklist_key head_name args)
+                && Ledger.fired t.sv_ledger (blacklist_key head_name args)
               then None (* negated Revoked(instance) fails (§3.3.2) *)
               else begin
                 (* Assemble membership-rule parents (fig 4.6).  Durable
@@ -1223,15 +809,7 @@ let complete_match t (entry : Ast.entry) dcerts (env, used) =
                     Credrec.set_direct_use t.sv_table rbr true;
                     parents := (rbr, false) :: !parents;
                     let key = blacklist_key head_name args in
-                    let cell =
-                      match Hashtbl.find_opt t.sv_rbr key with
-                      | Some c -> c
-                      | None ->
-                          let c = ref [] in
-                          Hashtbl.replace t.sv_rbr key c;
-                          c
-                    in
-                    cell := (revoker, rbr) :: !cell;
+                    arm_revoker t key revoker rbr;
                     rbrs := (head_name, snd key, revoker.Ast.role) :: !rbrs);
                 let crr =
                   match !parents with
@@ -1295,8 +873,7 @@ let run_entry_engine t ~delegation ~deleg_required_ok ~initial =
       (fun m' ->
         String.equal m'.m_service m.m_service
         && m'.m_roles = m.m_roles
-        && List.length m'.m_args = List.length m.m_args
-        && List.for_all2 Value.equal m'.m_args m.m_args)
+        && same_args m'.m_args m.m_args)
       !memberships
   in
   let pass ~all_matches =
@@ -1328,25 +905,9 @@ let run_entry_engine t ~delegation ~deleg_required_ok ~initial =
 
 (* --- certificate issue --- *)
 
-(* Log the issue to stable storage: the record's identity plus what it
-   depends on, so recovery can re-materialise the backing subgraph.
-   Records already logged (re-validation of an outstanding certificate)
-   are not re-logged. *)
-let persist_issue t ~crr ~deps ~rbrs =
-  match t.sv_durable with
-  | None -> ()
-  | Some du ->
-      let key = Credrec.marshal_ref crr in
-      if not (Hashtbl.mem du.du_issued key) then begin
-        let deps = List.sort_uniq compare deps in
-        let rbrs = List.sort_uniq compare rbrs in
-        Hashtbl.replace du.du_issued key { i_alive = true; i_deps = deps; i_rbrs = rbrs };
-        Journal.append du.du_journal (rec_issue key deps rbrs)
-      end
-
 let issue_cert t ?(deps = []) ?(rbrs = []) ~client ~roles ~args ~crr () =
   Credrec.set_direct_use t.sv_table crr true;
-  persist_issue t ~crr ~deps ~rbrs;
+  Ledger.issue t.sv_ledger crr ~deps ~rbrs;
   let bits =
     List.fold_left
       (fun acc role ->
@@ -1375,6 +936,30 @@ let rec seq_map f list k =
   | [] -> k []
   | x :: rest -> f x (fun y -> seq_map f rest (fun ys -> k (y :: ys)))
 
+(* Validate a certificate at its issuing service over the reliable
+   validation RPC (§2.10), then mirror its credential record here as an
+   external record; [k] gets the roles, the arguments, the local surrogate
+   and the remote record.  Reliable: a dropped validation reply would
+   reject a perfectly good credential.  [validate_for_peer] is idempotent
+   (the Modified-notification arm is guarded), so retries are safe.  The
+   budget is kept short (~7.5 s worst case): validation gates a decision,
+   which must still fail closed promptly when the issuer is genuinely
+   unreachable (§4.2). *)
+let validate_at_issuer t issuer (cert : Cert.rmc) k =
+  Net.rpc_retry t.sv_net ~category:"oasis.validate" ~attempts:3 ~backoff:0.5 ~src:t.sv_host
+    ~dst:issuer.sv_host
+    (fun () ->
+      match validate_for_peer issuer cert with
+      | Ok r -> Ok r
+      | Error f -> Error (Format.asprintf "%a" pp_failure f))
+    (function
+      | Error e -> k (Error e)
+      | Ok (roles, args, remote_ref) ->
+          let local =
+            external_record t ~peer_name:cert.Cert.service ~remote_ref ~initial:Credrec.True
+          in
+          k (Ok (roles, args, local, remote_ref)))
+
 (* Validate one supplied credential, local or external, producing a
    membership (or None, with audit). *)
 let validate_credential t (cert : Cert.rmc) k =
@@ -1396,49 +981,31 @@ let validate_credential t (cert : Cert.rmc) k =
                  m_args = cert.Cert.args;
                  m_crr = cert.Cert.crr;
                  m_fresh = false;
-                 m_deps = [ Dloc (Credrec.marshal_ref cert.Cert.crr) ];
+                 m_deps = [ Ledger.Dloc (Credrec.marshal_ref cert.Cert.crr) ];
                  m_rbrs = [];
                }))
   else
-    (* External certificate: RPC to the issuing service (§2.10), then mirror
-       its credential record locally. *)
     match find_service t.sv_registry cert.Cert.service with
     | None ->
         audit t Erroneous ("credential from unknown service " ^ cert.Cert.service);
         k None
     | Some issuer ->
-        (* Reliable: a dropped validation reply would reject a perfectly
-           good credential.  [validate_for_peer] is idempotent (the
-           Modified-notification arm is guarded), so retries are safe.  The
-           budget is kept short (~7.5 s worst case): validation gates an
-           entry decision, which must still fail closed promptly when the
-           issuer is genuinely unreachable (§4.2). *)
-        Net.rpc_retry t.sv_net ~category:"oasis.validate" ~attempts:3 ~backoff:0.5
-          ~src:t.sv_host ~dst:issuer.sv_host
-          (fun () ->
-            match validate_for_peer issuer cert with
-            | Ok r -> Ok r
-            | Error f -> Error (Format.asprintf "%a" pp_failure f))
-          (function
-            | Error _ -> k None
-            | Ok (roles, args, remote_ref) ->
-                let local =
-                  external_record t ~peer_name:cert.Cert.service ~remote_ref
-                    ~initial:Credrec.True
-                in
-                k
-                  (Some
-                     {
-                       m_service = cert.Cert.service;
-                       m_roles = roles;
-                       m_args = args;
-                       m_crr = local;
-                       m_fresh = false;
-                       m_deps = [ Dext (cert.Cert.service, Credrec.marshal_ref remote_ref) ];
-                       m_rbrs = [];
-                     }))
+        validate_at_issuer t issuer cert (function
+          | Error _ -> k None
+          | Ok (roles, args, local, remote_ref) ->
+              k
+                (Some
+                   {
+                     m_service = cert.Cert.service;
+                     m_roles = roles;
+                     m_args = args;
+                     m_crr = local;
+                     m_fresh = false;
+                     m_deps = [ Ledger.Dext (cert.Cert.service, Credrec.marshal_ref remote_ref) ];
+                     m_rbrs = [];
+                   }))
 
-let delegation_required_ok t (d : Cert.delegation) memberships =
+let delegation_required_ok (d : Cert.delegation) memberships =
   (* Every required (service, role, args) must be covered by a validated
      membership; Str "*" arguments are wildcards. *)
   List.for_all
@@ -1454,89 +1021,93 @@ let delegation_required_ok t (d : Cert.delegation) memberships =
         memberships)
     d.Cert.d_required
 
+(* A client request: [size] bytes travel to the service as [category];
+   [handle] runs there and answers through its argument, which carries the
+   result back to the client as [category ^ ".reply"], [reply_size]
+   bytes. *)
+let serve t ~client_host ~category ~size ~reply_size k handle =
+  Net.send t.sv_net ~category ~size ~src:client_host ~dst:t.sv_host (fun () ->
+      handle (fun result ->
+          Net.send t.sv_net ~category:(category ^ ".reply") ~size:reply_size ~src:t.sv_host
+            ~dst:client_host (fun () -> k result)))
+
 let request_entry t ~client_host ~client ~role ?args ?(creds = []) ?delegation k =
   (* Client -> service request, then async validation of each credential. *)
-  Net.send t.sv_net ~category:"oasis.entry" ~size:(128 + (96 * List.length creds))
-    ~src:client_host ~dst:t.sv_host (fun () ->
-      let reply result =
-        Net.send t.sv_net ~category:"oasis.entry.reply" ~size:160 ~src:t.sv_host ~dst:client_host
-          (fun () -> k result)
+  serve t ~client_host ~category:"oasis.entry" ~size:(128 + (96 * List.length creds))
+    ~reply_size:160 k
+  @@ fun reply ->
+  seq_map (validate_credential t) creds (fun validated ->
+      let initial = List.filter_map Fun.id validated in
+      (* Delegation certificate checks (§4.4). *)
+      let delegation_checked =
+        match delegation with
+        | None -> Ok None
+        | Some d ->
+            if not (String.equal d.Cert.d_service t.sv_name) then Error "delegation for another service"
+            else if not (Cert.verify_delegation ~length:sig_length t.sv_secrets d) then
+              Error "bad delegation signature"
+            else (
+              match d.Cert.d_expires with
+              | Some e when now t > e -> Error "delegation expired"
+              | _ -> Ok (Some d))
       in
-      seq_map (validate_credential t) creds (fun validated ->
-          let initial = List.filter_map Fun.id validated in
-          (* Delegation certificate checks (§4.4). *)
-          let delegation_checked =
+      match delegation_checked with
+      | Error e -> reply (Error e)
+      | Ok delegation -> (
+          let deleg_required_ok =
             match delegation with
-            | None -> Ok None
-            | Some d ->
-                if not (String.equal d.Cert.d_service t.sv_name) then Error "delegation for another service"
-                else if not (Cert.verify_delegation ~length:sig_length t.sv_secrets d) then
-                  Error "bad delegation signature"
-                else (
-                  match d.Cert.d_expires with
-                  | Some e when now t > e -> Error "delegation expired"
-                  | _ -> Ok (Some d))
+            | None -> true
+            | Some d -> delegation_required_ok d initial
           in
-          match delegation_checked with
-          | Error e -> reply (Error e)
-          | Ok delegation -> (
-              let deleg_required_ok =
-                match delegation with
-                | None -> true
-                | Some d -> delegation_required_ok t d initial
+          let memberships =
+            run_entry_engine t ~delegation ~deleg_required_ok ~initial
+          in
+          (* First suitable membership (fig 3.2). *)
+          let suitable m =
+            String.equal m.m_service t.sv_name
+            && List.mem role m.m_roles
+            &&
+            match args with
+            | None -> true
+            | Some want -> same_args want m.m_args
+          in
+          match List.find_opt suitable memberships with
+          | None ->
+              audit t Erroneous
+                (Printf.sprintf "entry to %s denied for %s" role
+                   (Principal.vci_to_string client));
+              reply (Error ("entry to role " ^ role ^ " denied"))
+          | Some chosen ->
+              (* Compound certificate: fold in other fresh local roles
+                 with identical arguments (§4.3). *)
+              let companions =
+                if t.sv_compound then
+                  List.filter
+                    (fun m ->
+                      m.m_fresh && m != chosen
+                      && String.equal m.m_service t.sv_name
+                      && same_args m.m_args chosen.m_args)
+                    memberships
+                else []
               in
-              let memberships =
-                run_entry_engine t ~delegation ~deleg_required_ok ~initial
+              let roles = List.concat_map (fun m -> m.m_roles) (chosen :: companions) in
+              let crr =
+                match companions with
+                | [] -> chosen.m_crr
+                | _ ->
+                    Credrec.combine t.sv_table
+                      (List.map (fun m -> (m.m_crr, false)) (chosen :: companions))
               in
-              (* First suitable membership (fig 3.2). *)
-              let suitable m =
-                String.equal m.m_service t.sv_name
-                && List.mem role m.m_roles
-                &&
-                match args with
-                | None -> true
-                | Some want ->
-                    List.length want = List.length m.m_args
-                    && List.for_all2 Value.equal want m.m_args
+              let cert =
+                issue_cert t
+                  ~deps:(List.concat_map (fun m -> m.m_deps) (chosen :: companions))
+                  ~rbrs:(List.concat_map (fun m -> m.m_rbrs) (chosen :: companions))
+                  ~client ~roles ~args:chosen.m_args ~crr ()
               in
-              match List.find_opt suitable memberships with
-              | None ->
-                  audit t Erroneous
-                    (Printf.sprintf "entry to %s denied for %s" role
-                       (Principal.vci_to_string client));
-                  reply (Error ("entry to role " ^ role ^ " denied"))
-              | Some chosen ->
-                  (* Compound certificate: fold in other fresh local roles
-                     with identical arguments (§4.3). *)
-                  let companions =
-                    if t.sv_compound then
-                      List.filter
-                        (fun m ->
-                          m.m_fresh && m != chosen
-                          && String.equal m.m_service t.sv_name
-                          && List.length m.m_args = List.length chosen.m_args
-                          && List.for_all2 Value.equal m.m_args chosen.m_args)
-                        memberships
-                    else []
-                  in
-                  let roles = List.concat_map (fun m -> m.m_roles) (chosen :: companions) in
-                  let crr =
-                    match companions with
-                    | [] -> chosen.m_crr
-                    | _ ->
-                        Credrec.combine t.sv_table
-                          (List.map (fun m -> (m.m_crr, false)) (chosen :: companions))
-                  in
-                  let cert =
-                    issue_cert t
-                      ~deps:(List.concat_map (fun m -> m.m_deps) (chosen :: companions))
-                      ~rbrs:(List.concat_map (fun m -> m.m_rbrs) (chosen :: companions))
-                      ~client ~roles ~args:chosen.m_args ~crr ()
-                  in
-                  audit t Entry
-                    (Printf.sprintf "%s entered %s" (Principal.vci_to_string client)
-                       (String.concat "+" roles));
-                  reply (Ok cert))))
+              audit t Entry
+                (Printf.sprintf "%s entered %s" (Principal.vci_to_string client)
+                   (String.concat "+" roles));
+              reply (Ok cert)))
 
 (* --- delegation (§4.4) --- *)
 
@@ -1545,134 +1116,125 @@ let election_statements t role =
     (fun (e : Ast.entry) -> fst e.Ast.head = role && e.Ast.elector <> None)
     (Ast.entries t.sv_rolefile)
 
+(* A delegation's own credential record: a fresh leaf or, with
+   [revoke_on_exit], a record whose one parent is the delegator's
+   membership, so the delegation dies with it.  [expire_after] arms
+   automatic revocation that many seconds from now. *)
+let delegation_record t ~delegator_crr ~revoke_on_exit ~expire_after =
+  let d_crr =
+    if revoke_on_exit then Credrec.combine_fresh t.sv_table [ (delegator_crr, false) ]
+    else Credrec.leaf t.sv_table ()
+  in
+  Credrec.set_direct_use t.sv_table d_crr true;
+  Option.iter
+    (fun delay ->
+      Engine.schedule (Net.engine t.sv_net) ~delay (fun () ->
+          invalidate_traced t ~reason:"expire" d_crr))
+    expire_after;
+  d_crr
+
 let request_delegation t ~client_host ~delegator ~using ~role ~required ?expires_in
     ?(revoke_on_exit = false) k =
-  Net.send t.sv_net ~category:"oasis.delegate" ~size:160 ~src:client_host ~dst:t.sv_host
-    (fun () ->
-      let reply result =
-        Net.send t.sv_net ~category:"oasis.delegate.reply" ~size:200 ~src:t.sv_host
-          ~dst:client_host (fun () -> k result)
+  serve t ~client_host ~category:"oasis.delegate" ~size:160 ~reply_size:200 k @@ fun reply ->
+  (* The delegator must hold an elector role for some election statement
+     defining [role]. *)
+  match validate t ~client:delegator using with
+  | Error f -> reply (Error (Format.asprintf "delegator credential: %a" pp_failure f))
+  | Ok () -> (
+      let holder_roles = roles_of_cert t using in
+      let statement_ok (e : Ast.entry) =
+        match e.Ast.elector with
+        | Some er -> (
+            (* The elector reference must be a local role the delegator
+               holds; argument constraints are checked against the
+               delegator's certificate arguments. *)
+            er.Ast.sref.Ast.service = None
+            && List.mem er.Ast.role holder_roles
+            &&
+            match match_args [] er.Ast.ref_args using.Cert.args with
+            | Some _ -> true
+            | None -> er.Ast.ref_args = [])
+        | None -> false
       in
-      (* The delegator must hold an elector role for some election statement
-         defining [role]. *)
-      match validate t ~client:delegator using with
-      | Error f -> reply (Error (Format.asprintf "delegator credential: %a" pp_failure f))
-      | Ok () -> (
-          let holder_roles = roles_of_cert t using in
-          let statement_ok (e : Ast.entry) =
-            match e.Ast.elector with
-            | Some er -> (
-                (* The elector reference must be a local role the delegator
-                   holds; argument constraints are checked against the
-                   delegator's certificate arguments. *)
-                er.Ast.sref.Ast.service = None
-                && List.mem er.Ast.role holder_roles
-                &&
-                match match_args [] er.Ast.ref_args using.Cert.args with
-                | Some _ -> true
-                | None -> er.Ast.ref_args = [])
-            | None -> false
+      match List.find_opt statement_ok (election_statements t role) with
+      | None ->
+          audit t Revocation_denied ("delegation of " ^ role ^ " refused");
+          reply (Error ("no election statement permits delegating " ^ role))
+      | Some chosen_statement -> (
+        match chosen_statement.Ast.elector with
+        | None ->
+            (* A matched statement without an elector cannot name the
+               delegator's role.  This request arrives off the wire, so
+               a malformed shape must be answered with a protocol error
+               — crashing the whole host here would let any client take
+               the service down. *)
+            audit t Erroneous
+              ("delegation request for " ^ role ^ " matched a statement with no elector");
+            reply (Error ("statement defining " ^ role ^ " has no elector"))
+        | Some er ->
+          let delegator_role = er.Ast.role in
+          let expires = Option.map (fun dt -> now t +. dt) expires_in in
+          let d_crr =
+            delegation_record t ~delegator_crr:using.Cert.crr ~revoke_on_exit
+              ~expire_after:(Option.map (fun at -> max 0.0 (at -. now t)) expires)
           in
-          match List.find_opt statement_ok (election_statements t role) with
-          | None ->
-              audit t Revocation_denied ("delegation of " ^ role ^ " refused");
-              reply (Error ("no election statement permits delegating " ^ role))
-          | Some chosen_statement -> (
-            match chosen_statement.Ast.elector with
-            | None ->
-                (* A matched statement without an elector cannot name the
-                   delegator's role.  This request arrives off the wire, so
-                   a malformed shape must be answered with a protocol error
-                   — crashing the whole host here would let any client take
-                   the service down. *)
-                audit t Erroneous
-                  ("delegation request for " ^ role ^ " matched a statement with no elector");
-                reply (Error ("statement defining " ^ role ^ " has no elector"))
-            | Some er ->
-              let delegator_role = er.Ast.role in
-              (* The delegation's own credential record; tied to the
-                 delegator's membership when revoke_on_exit is set. *)
-              let d_crr =
-                if revoke_on_exit then begin
-                  let r = Credrec.combine_fresh t.sv_table [ (using.Cert.crr, false) ] in
-                  Credrec.set_auto_revoke t.sv_table r true;
-                  r
-                end
-                else Credrec.leaf t.sv_table ()
-              in
-              Credrec.set_direct_use t.sv_table d_crr true;
-              let expires = Option.map (fun dt -> now t +. dt) expires_in in
-              (match expires with
-              | Some at ->
-                  Engine.schedule (Net.engine t.sv_net)
-                    ~delay:(max 0.0 (at -. now t))
-                    (fun () -> invalidate_traced t ~reason:"expire" d_crr)
-              | None -> ());
-              let d =
-                {
-                  Cert.d_service = t.sv_name;
-                  d_rolefile = t.sv_rolefile_id;
-                  d_role = role;
-                  d_required = required;
-                  d_crr;
-                  d_delegator_crr = using.Cert.crr;
-                  d_delegator_role = delegator_role;
-                  d_delegator_args = using.Cert.args;
-                  d_expires = expires;
-                  d_sig = "";
-                }
-              in
-              let d = Cert.sign_delegation t.sv_secrets ~length:sig_length d in
-              let r =
-                {
-                  Cert.r_service = t.sv_name;
-                  r_role = delegator_role;
-                  r_delegator_crr = using.Cert.crr;
-                  r_target_crr = d_crr;
-                  r_sig = "";
-                }
-              in
-              let r = Cert.sign_revocation t.sv_secrets ~length:sig_length r in
-              audit t Delegation
-                (Printf.sprintf "%s delegated %s" (Principal.vci_to_string delegator) role);
-              reply (Ok (d, r)))))
+          let d =
+            {
+              Cert.d_service = t.sv_name;
+              d_rolefile = t.sv_rolefile_id;
+              d_role = role;
+              d_required = required;
+              d_crr;
+              d_delegator_crr = using.Cert.crr;
+              d_delegator_role = delegator_role;
+              d_delegator_args = using.Cert.args;
+              d_expires = expires;
+              d_sig = "";
+            }
+          in
+          let d = Cert.sign_delegation t.sv_secrets ~length:sig_length d in
+          let r =
+            {
+              Cert.r_service = t.sv_name;
+              r_role = delegator_role;
+              r_delegator_crr = using.Cert.crr;
+              r_target_crr = d_crr;
+              r_sig = "";
+            }
+          in
+          let r = Cert.sign_revocation t.sv_secrets ~length:sig_length r in
+          audit t Delegation
+            (Printf.sprintf "%s delegated %s" (Principal.vci_to_string delegator) role);
+          reply (Ok (d, r))))
 
 let request_revocation t ~client_host (rcert : Cert.revocation) k =
-  Net.send t.sv_net ~category:"oasis.revoke" ~size:96 ~src:client_host ~dst:t.sv_host (fun () ->
-      let reply result =
-        Net.send t.sv_net ~category:"oasis.revoke.reply" ~size:32 ~src:t.sv_host ~dst:client_host
-          (fun () -> k result)
-      in
-      if not (String.equal rcert.Cert.r_service t.sv_name) then
-        reply (Error "revocation certificate for another service")
-      else if not (Cert.verify_revocation ~length:sig_length t.sv_secrets rcert) then begin
-        audit t Fraud "forged revocation certificate";
-        reply (Error "bad revocation signature")
-      end
-      else if Credrec.state t.sv_table rcert.Cert.r_delegator_crr <> Credrec.True then begin
-        (* fig 4.3: the delegator must still be a member of the delegating
-           role to revoke. *)
-        audit t Revocation_denied "revoker no longer holds the delegating role";
-        reply (Error "revoker no longer holds the delegating role")
-      end
-      else begin
-        invalidate_traced t ~reason:"revoke" rcert.Cert.r_target_crr;
-        audit t Revocation "delegation revoked";
-        reply (Ok ())
-      end)
+  serve t ~client_host ~category:"oasis.revoke" ~size:96 ~reply_size:32 k @@ fun reply ->
+  if not (String.equal rcert.Cert.r_service t.sv_name) then
+    reply (Error "revocation certificate for another service")
+  else if not (Cert.verify_revocation ~length:sig_length t.sv_secrets rcert) then begin
+    audit t Fraud "forged revocation certificate";
+    reply (Error "bad revocation signature")
+  end
+  else if Credrec.state t.sv_table rcert.Cert.r_delegator_crr <> Credrec.True then begin
+    (* fig 4.3: the delegator must still be a member of the delegating
+       role to revoke. *)
+    audit t Revocation_denied "revoker no longer holds the delegating role";
+    reply (Error "revoker no longer holds the delegating role")
+  end
+  else begin
+    invalidate_traced t ~reason:"revoke" rcert.Cert.r_target_crr;
+    audit t Revocation "delegation revoked";
+    reply (Ok ())
+  end
 
 let exit_role t ~client_host (cert : Cert.rmc) k =
-  Net.send t.sv_net ~category:"oasis.exit" ~size:96 ~src:client_host ~dst:t.sv_host (fun () ->
-      let reply result =
-        Net.send t.sv_net ~category:"oasis.exit.reply" ~size:32 ~src:t.sv_host ~dst:client_host
-          (fun () -> k result)
-      in
-      if not (verify_rmc_sig t cert) then reply (Error "bad certificate")
-      else begin
-        invalidate_traced t ~reason:"exit" cert.Cert.crr;
-        audit t Exit (Principal.vci_to_string cert.Cert.holder ^ " exited");
-        reply (Ok ())
-      end)
+  serve t ~client_host ~category:"oasis.exit" ~size:96 ~reply_size:32 k @@ fun reply ->
+  if not (verify_rmc_sig t cert) then reply (Error "bad certificate")
+  else begin
+    invalidate_traced t ~reason:"exit" cert.Cert.crr;
+    audit t Exit (Principal.vci_to_string cert.Cert.holder ^ " exited");
+    reply (Ok ())
+  end
 
 (* --- role-based revocation (§4.11) --- *)
 
@@ -1680,13 +1242,24 @@ let revoker_matches t (revoker_ref : Ast.role_ref) (cert : Cert.rmc) =
   revoker_ref.Ast.sref.Ast.service = None
   && Cert.has_role ~role_bits:t.sv_role_bits cert revoker_ref.Ast.role
 
+(* Does the rolefile let this revoker credential fire and re-hire
+   instances of [role]: a [|>] clause for [role] naming a role it holds? *)
+let may_revoke t ~role revoker =
+  List.exists
+    (fun (e : Ast.entry) ->
+      fst e.Ast.head = role
+      && match e.Ast.revoker with Some r -> revoker_matches t r revoker | None -> false)
+    (Ast.entries t.sv_rolefile)
+
 (* Validate a fire/re-hire revoker credential, which may have been issued
    by a sibling shard of the same logical service (see {!Shard}).  Sibling
    certificates are checked at their issuer over the reliable validation
    RPC (§2.10) and mirrored here as external records, so the revocation
    right is judged against the issuer's own signature and live credential
    state — never against this shard's table, whose record refs the
-   sibling's (index, magic) pairs would silently alias. *)
+   sibling's (index, magic) pairs would silently alias.  The mirror also
+   lets a later revocation of the revoker's own role propagate here like
+   any other external dependency. *)
 let validate_revoker t (revoker : Cert.rmc) k =
   if String.equal revoker.Cert.service t.sv_name then
     match validate t ~client:revoker.Cert.holder revoker with
@@ -1701,131 +1274,65 @@ let validate_revoker t (revoker : Cert.rmc) k =
     match find_service t.sv_registry revoker.Cert.service with
     | None -> k (Error ("unknown sibling shard " ^ revoker.Cert.service))
     | Some issuer ->
-        Net.rpc_retry t.sv_net ~category:"oasis.validate" ~attempts:3 ~backoff:0.5
-          ~src:t.sv_host ~dst:issuer.sv_host
-          (fun () ->
-            match validate_for_peer issuer revoker with
-            | Ok r -> Ok r
-            | Error f -> Error (Format.asprintf "%a" pp_failure f))
-          (function
-            | Error e -> k (Error e)
-            | Ok (_roles, _args, remote_ref) ->
-                (* Mirror the revoker's record so a later revocation of the
-                   revoker's own role propagates here like any other
-                   external dependency. *)
-                ignore
-                  (external_record t ~peer_name:revoker.Cert.service ~remote_ref
-                     ~initial:Credrec.True);
-                k (Ok ()))
+        validate_at_issuer t issuer revoker (function
+          | Error e -> k (Error e)
+          | Ok _ -> k (Ok ()))
 
 let revoke_role_instance t ~client_host ~revoker ~role ~args k =
-  Net.send t.sv_net ~category:"oasis.rbr" ~size:128 ~src:client_host ~dst:t.sv_host (fun () ->
-      let reply result =
-        Net.send t.sv_net ~category:"oasis.rbr.reply" ~size:32 ~src:t.sv_host ~dst:client_host
-          (fun () -> k result)
-      in
-      validate_revoker t revoker (function
-      | Error e -> reply (Error ("revoker credential: " ^ e))
-      | Ok () -> (
-          let key = blacklist_key role args in
-          match Hashtbl.find_opt t.sv_rbr key with
-          | None ->
-              (* No live memberships; still blacklist if the rolefile allows
-                 this revoker for the role. *)
-              let allowed =
-                List.exists
-                  (fun (e : Ast.entry) ->
-                    fst e.Ast.head = role
-                    &&
-                    match e.Ast.revoker with
-                    | Some r -> revoker_matches t r revoker
-                    | None -> false)
-                  (Ast.entries t.sv_rolefile)
-              in
-              if allowed then begin
-                Hashtbl.replace t.sv_blacklist key ();
-                persist_fire t key;
-                audit t Revocation (Printf.sprintf "%s(%s) blacklisted" role "");
-                ack_when_durable t (fun () -> reply (Ok 0))
-              end
-              else reply (Error "no revocation right for this role")
-          | Some cell ->
-              let eligible, rest =
-                List.partition (fun (r, _) -> revoker_matches t r revoker) !cell
-              in
-              if eligible = [] then begin
-                (* Nothing armed for this revoker.  Distinguish a wrong
-                   revoker from a RETRY of a fire that already committed:
-                   the first attempt emptied the cell and blacklisted the
-                   key, then its ack was lost (crash, dropped reply).  The
-                   right is judged against the rolefile, exactly as in the
-                   no-membership branch; re-firing a blacklisted instance
-                   is idempotent success, acked durably like the original
-                   (the ack waits out any still-pending group commit). *)
-                let allowed =
-                  List.exists
-                    (fun (e : Ast.entry) ->
-                      fst e.Ast.head = role
-                      &&
-                      match e.Ast.revoker with
-                      | Some r -> revoker_matches t r revoker
-                      | None -> false)
-                    (Ast.entries t.sv_rolefile)
-                in
-                if allowed && Hashtbl.mem t.sv_blacklist key then
-                  ack_when_durable t (fun () -> reply (Ok 0))
-                else reply (Error "revoker role does not match")
-              end
-              else begin
-                with_revocation_span t ~reason:"role" (fun () ->
-                    List.iter (fun (_, rbr) -> Credrec.invalidate t.sv_table rbr) eligible);
-                (* The F record alone is not durable evidence of these
-                   deaths: a later re-hire removes the blacklist entry, and
-                   recovery would then re-arm the revoker records and
-                   resurrect the fired memberships.  Persist the death of
-                   each issued record the cascade just killed. *)
-                (match t.sv_durable with
-                | None -> ()
-                | Some du ->
-                    Hashtbl.fold
-                      (fun key i acc -> if i.i_alive then key :: acc else acc)
-                      du.du_issued []
-                    |> List.iter (fun key ->
-                           match Credrec.unmarshal_ref key with
-                           | Some cref when Credrec.state t.sv_table cref = Credrec.False ->
-                               persist_invalidate t cref
-                           | _ -> ()));
-                cell := rest;
-                Hashtbl.replace t.sv_blacklist key ();
-                persist_fire t key;
-                audit t Revocation
-                  (Printf.sprintf "%d membership(s) of %s revoked by role" (List.length eligible)
-                     role);
-                ack_when_durable t (fun () -> reply (Ok (List.length eligible)))
-              end)))
+  serve t ~client_host ~category:"oasis.rbr" ~size:128 ~reply_size:32 k @@ fun reply ->
+  validate_revoker t revoker @@ function
+  | Error e -> reply (Error ("revoker credential: " ^ e))
+  | Ok () -> (
+      let key = blacklist_key role args in
+      match Hashtbl.find_opt t.sv_rbr key with
+      | None ->
+          (* No live memberships; still blacklist if the rolefile allows
+             this revoker for the role. *)
+          if may_revoke t ~role revoker then begin
+            Ledger.fire t.sv_ledger key;
+            audit t Revocation (Printf.sprintf "%s(%s) blacklisted" role "");
+            Ledger.ack t.sv_ledger (fun () -> reply (Ok 0))
+          end
+          else reply (Error "no revocation right for this role")
+      | Some cell ->
+          let eligible, rest =
+            List.partition (fun (r, _) -> revoker_matches t r revoker) !cell
+          in
+          if eligible = [] then begin
+            (* Nothing armed for this revoker.  Distinguish a wrong
+               revoker from a RETRY of a fire that already committed:
+               the first attempt emptied the cell and blacklisted the
+               key, then its ack was lost (crash, dropped reply).  The
+               right is judged against the rolefile, exactly as in the
+               no-membership branch; re-firing a blacklisted instance
+               is idempotent success, acked durably like the original
+               (the ack waits out any still-pending group commit). *)
+            if may_revoke t ~role revoker && Ledger.fired t.sv_ledger key then
+              Ledger.ack t.sv_ledger (fun () -> reply (Ok 0))
+            else reply (Error "revoker role does not match")
+          end
+          else begin
+            with_revocation_span t ~reason:"role" (fun () ->
+                List.iter (fun (_, rbr) -> Credrec.invalidate t.sv_table rbr) eligible);
+            Ledger.record_deaths t.sv_ledger t.sv_table;
+            cell := rest;
+            Ledger.fire t.sv_ledger key;
+            audit t Revocation
+              (Printf.sprintf "%d membership(s) of %s revoked by role" (List.length eligible)
+                 role);
+            Ledger.ack t.sv_ledger (fun () -> reply (Ok (List.length eligible)))
+          end)
 
 let reinstate_role_instance t ~client_host ~revoker ~role ~args k =
-  Net.send t.sv_net ~category:"oasis.rbr" ~size:128 ~src:client_host ~dst:t.sv_host (fun () ->
-      let reply result =
-        Net.send t.sv_net ~category:"oasis.rbr.reply" ~size:32 ~src:t.sv_host ~dst:client_host
-          (fun () -> k result)
-      in
-      validate_revoker t revoker (function
-      | Error e -> reply (Error ("revoker credential: " ^ e))
-      | Ok () ->
-          let allowed =
-            List.exists
-              (fun (e : Ast.entry) ->
-                fst e.Ast.head = role
-                && match e.Ast.revoker with Some r -> revoker_matches t r revoker | None -> false)
-              (Ast.entries t.sv_rolefile)
-          in
-          if not allowed then reply (Error "no revocation right for this role")
-          else begin
-            Hashtbl.remove t.sv_blacklist (blacklist_key role args);
-            persist_hire t (blacklist_key role args);
-            ack_when_durable t (fun () -> reply (Ok ()))
-          end))
+  serve t ~client_host ~category:"oasis.rbr" ~size:128 ~reply_size:32 k @@ fun reply ->
+  validate_revoker t revoker @@ function
+  | Error e -> reply (Error ("revoker credential: " ^ e))
+  | Ok () ->
+      if not (may_revoke t ~role revoker) then reply (Error "no revocation right for this role")
+      else begin
+        Ledger.hire t.sv_ledger (blacklist_key role args);
+        Ledger.ack t.sv_ledger (fun () -> reply (Ok ()))
+      end
 
 (* --- interworking (§4.12) --- *)
 
@@ -1839,20 +1346,7 @@ let import_remote_record t ~peer ~remote =
   external_record t ~peer_name:peer ~remote_ref:remote ~initial:Credrec.True
 
 let mint_delegation_record t ~delegator_crr ?expires_in ?(revoke_on_exit = false) () =
-  let d_crr =
-    if revoke_on_exit then begin
-      let r = Credrec.combine_fresh t.sv_table [ (delegator_crr, false) ] in
-      Credrec.set_auto_revoke t.sv_table r true;
-      r
-    end
-    else Credrec.leaf t.sv_table ()
-  in
-  Credrec.set_direct_use t.sv_table d_crr true;
-  (match expires_in with
-  | Some dt ->
-      Engine.schedule (Net.engine t.sv_net) ~delay:dt (fun () ->
-          invalidate_traced t ~reason:"expire" d_crr)
-  | None -> ());
+  let d_crr = delegation_record t ~delegator_crr ~revoke_on_exit ~expire_after:expires_in in
   let r =
     {
       Cert.r_service = t.sv_name;
@@ -1871,191 +1365,323 @@ let revoke_certificate t (cert : Cert.rmc) =
    revocation certificate on, under the fixed policy that the recipient must
    themselves be a member of the elector role. *)
 let delegate_revocation t ~client_host ~rcert ~to_cert k =
-  Net.send t.sv_net ~category:"oasis.redelegate" ~size:128 ~src:client_host ~dst:t.sv_host
-    (fun () ->
-      let reply result =
-        Net.send t.sv_net ~category:"oasis.redelegate.reply" ~size:160 ~src:t.sv_host
-          ~dst:client_host (fun () -> k result)
-      in
-      if not (String.equal rcert.Cert.r_service t.sv_name) then
-        reply (Error "revocation certificate for another service")
-      else if not (Cert.verify_revocation ~length:sig_length t.sv_secrets rcert) then
-        reply (Error "bad revocation signature")
-      else if String.equal rcert.Cert.r_role "" then
-        reply (Error "this revocation certificate cannot be re-delegated")
-      else if not (verify_rmc_sig t to_cert) then reply (Error "bad candidate certificate")
-      else if not (Cert.has_role ~role_bits:t.sv_role_bits to_cert rcert.Cert.r_role) then begin
-        (* The fixed policy of §4.4. *)
-        audit t Revocation_denied
-          ("revocation right refused: candidate does not hold " ^ rcert.Cert.r_role);
-        reply (Error ("candidate must hold the " ^ rcert.Cert.r_role ^ " role"))
-      end
-      else begin
-        let fresh =
-          {
-            Cert.r_service = t.sv_name;
-            r_role = rcert.Cert.r_role;
-            r_delegator_crr = to_cert.Cert.crr;
-            r_target_crr = rcert.Cert.r_target_crr;
-            r_sig = "";
-          }
-        in
-        audit t Delegation ("revocation right re-delegated for role " ^ rcert.Cert.r_role);
-        reply (Ok (Cert.sign_revocation t.sv_secrets ~length:sig_length fresh))
-      end)
+  serve t ~client_host ~category:"oasis.redelegate" ~size:128 ~reply_size:160 k @@ fun reply ->
+  if not (String.equal rcert.Cert.r_service t.sv_name) then
+    reply (Error "revocation certificate for another service")
+  else if not (Cert.verify_revocation ~length:sig_length t.sv_secrets rcert) then
+    reply (Error "bad revocation signature")
+  else if String.equal rcert.Cert.r_role "" then
+    reply (Error "this revocation certificate cannot be re-delegated")
+  else if not (verify_rmc_sig t to_cert) then reply (Error "bad candidate certificate")
+  else if not (Cert.has_role ~role_bits:t.sv_role_bits to_cert rcert.Cert.r_role) then begin
+    (* The fixed policy of §4.4. *)
+    audit t Revocation_denied
+      ("revocation right refused: candidate does not hold " ^ rcert.Cert.r_role);
+    reply (Error ("candidate must hold the " ^ rcert.Cert.r_role ^ " role"))
+  end
+  else begin
+    let fresh =
+      {
+        Cert.r_service = t.sv_name;
+        r_role = rcert.Cert.r_role;
+        r_delegator_crr = to_cert.Cert.crr;
+        r_target_crr = rcert.Cert.r_target_crr;
+        r_sig = "";
+      }
+    in
+    audit t Delegation ("revocation right re-delegated for role " ^ rcert.Cert.r_role);
+    reply (Ok (Cert.sign_revocation t.sv_secrets ~length:sig_length fresh))
+  end
 
 (* --- crash recovery (the restart hook registered in [create]) --- *)
 
-(* Replay snapshot + log suffix and re-materialise the credential-record
-   subgraph backing issued certificates:
+(* Re-materialise the credential-record subgraph backing issued
+   certificates, once the ledger has replayed its journal into the mirror
+   ({!Ledger.recover}):
 
-   1. Rebuild the durable mirror (blacklist + issued table) by applying
-      the snapshot's records, then the whole log — idempotent upserts, so
-      an un-truncated log over a snapshot is harmless.
-   2. Restore EVERY persisted record identity (alive and dead) before any
+   1. Restore EVERY persisted record identity (alive and dead) before any
       fresh allocation, so a fresh record can never mint an (index, magic)
       pair colliding with a reference embedded in an outstanding
       certificate.
-   3. Re-attach what each record's validity hangs on: local dependency
+   2. Re-attach what each record's validity hangs on: local dependency
       parents (dangling ones read permanently False — certificates whose
       issue record was lost with the unsynced tail fail closed), external
       surrogates re-mirrored at Unknown and healed by the §4.10 reread
       machinery, and §4.11 revoker arms — re-armed, or invalidated
-      outright when the instance is blacklisted.
+      outright when the instance is blacklisted. *)
+let rematerialise t =
+  let ledger = t.sv_ledger in
+  let restored =
+    List.filter_map
+      (fun key ->
+        match Credrec.unmarshal_ref key with
+        | None -> None
+        | Some cref ->
+            if Credrec.restore t.sv_table cref then begin
+              Credrec.set_direct_use t.sv_table cref true;
+              arm_notification t cref;
+              Some (key, cref)
+            end
+            else None)
+      (Ledger.issued_keys ledger)
+  in
+  List.iter
+    (fun (key, cref) ->
+      match Ledger.find_issued ledger key with
+      | None ->
+          (* The mirror lost this record between the restore scan and
+             re-attachment (a crash racing the delayed recovery closure
+             can do this).  Fail safe — the orphaned slot reads False —
+             and audit instead of raising out of the engine. *)
+          audit t Erroneous ("recovery: issued record vanished: " ^ key);
+          Credrec.invalidate t.sv_table cref
+      | Some i when not i.Ledger.i_alive -> Credrec.invalidate t.sv_table cref
+      | Some i ->
+          List.iter
+            (function
+              | Ledger.Dloc dkey -> (
+                  match Credrec.unmarshal_ref dkey with
+                  | Some dref -> Credrec.add_parent t.sv_table ~child:cref dref
+                  | None -> ())
+              | Ledger.Dext (peer_name, rkey) -> (
+                  match Credrec.unmarshal_ref rkey with
+                  | None -> ()
+                  | Some remote_ref ->
+                      let local =
+                        external_record t ~peer_name ~remote_ref ~initial:Credrec.Unknown
+                      in
+                      Credrec.add_parent t.sv_table ~child:cref local))
+            i.Ledger.i_deps;
+          List.iter
+            (fun (role, argskey, revoker_role) ->
+              let rbr = Credrec.leaf t.sv_table ~state:Credrec.True () in
+              Credrec.set_direct_use t.sv_table rbr true;
+              Credrec.add_parent t.sv_table ~child:cref rbr;
+              if Ledger.fired ledger (role, argskey) then Credrec.invalidate t.sv_table rbr
+              else
+                arm_revoker t (role, argskey)
+                  { Ast.sref = Ast.local_service; role = revoker_role; ref_args = []; starred = false }
+                  rbr)
+            i.Ledger.i_rbrs)
+    restored;
+  (* Kick the reread machinery: every re-mirrored external is Unknown
+     until its issuer answers (§4.10). *)
+  Hashtbl.iter
+    (fun peer_name pl ->
+      Hashtbl.iter (fun key _ -> Hashtbl.replace pl.pl_reread_pending key ()) pl.pl_externals;
+      match find_service t.sv_registry peer_name with
+      | None -> ()
+      | Some peer ->
+          with_peer_session t pl (fun session ->
+              if not pl.pl_rereading then reread_pending t pl peer session))
+    t.sv_peers
 
-   The whole pass is charged [Disk.scan_delay] for the durable bytes read
-   and traced as one [oasis.recover.e2e] span. *)
-let recover ?on_done t =
-  match t.sv_durable with
-  | None -> Option.iter (fun k -> k ()) on_done
-  | Some du ->
-      let disk = Journal.disk du.du_journal in
-      let bytes = Journal.durable_bytes du.du_journal in
-      let tr = tracer t in
-      let sp = Trace.start tr "oasis.recover.e2e" in
-      Trace.add_attr sp "bytes" (string_of_int bytes);
-      let t0 = Engine.now (Net.engine t.sv_net) in
-      Engine.schedule (Net.engine t.sv_net) ~delay:(Disk.scan_delay disk ~bytes) (fun () ->
-          let up = Net.host_up t.sv_net t.sv_host in
-          (if up then
-             Trace.with_ctx tr
-               (Some (Trace.ctx_of sp))
-               (fun () ->
-                 let records = Journal.records du.du_journal in
-                 List.iter (apply_record t du) records;
-                 let keys =
-                   Hashtbl.fold (fun k _ acc -> k :: acc) du.du_issued []
-                   |> List.sort String.compare
-                 in
-                 let restored =
-                   List.filter_map
-                     (fun key ->
-                       match Credrec.unmarshal_ref key with
-                       | None -> None
-                       | Some cref ->
-                           if Credrec.restore t.sv_table cref then begin
-                             Credrec.set_direct_use t.sv_table cref true;
-                             arm_notification t cref;
-                             Some (key, cref)
-                           end
-                           else None)
-                     keys
-                 in
-                 List.iter
-                   (fun (key, cref) ->
-                     match Hashtbl.find_opt du.du_issued key with
-                     | None ->
-                         (* The mirror lost this record between the restore
-                            scan and re-attachment (a crash racing the
-                            delayed recovery closure can do this).  Fail
-                            safe — the orphaned slot reads False — and
-                            audit instead of raising out of the engine. *)
-                         audit t Erroneous ("recovery: issued record vanished: " ^ key);
-                         Credrec.invalidate t.sv_table cref
-                     | Some i when not i.i_alive -> Credrec.invalidate t.sv_table cref
-                     | Some i -> begin
-                       List.iter
-                         (fun dep ->
-                           match dep with
-                           | Dloc dkey -> (
-                               match Credrec.unmarshal_ref dkey with
-                               | Some dref -> Credrec.add_parent t.sv_table ~child:cref dref
-                               | None -> ())
-                           | Dext (peer_name, rkey) -> (
-                               match Credrec.unmarshal_ref rkey with
-                               | None -> ()
-                               | Some remote_ref ->
-                                   let local =
-                                     external_record t ~peer_name ~remote_ref
-                                       ~initial:Credrec.Unknown
-                                   in
-                                   Credrec.add_parent t.sv_table ~child:cref local))
-                         i.i_deps;
-                       List.iter
-                         (fun (role, argskey, revoker_role) ->
-                           let rbr = Credrec.leaf t.sv_table ~state:Credrec.True () in
-                           Credrec.set_direct_use t.sv_table rbr true;
-                           Credrec.add_parent t.sv_table ~child:cref rbr;
-                           if Hashtbl.mem t.sv_blacklist (role, argskey) then
-                             Credrec.invalidate t.sv_table rbr
-                           else begin
-                             let cell =
-                               match Hashtbl.find_opt t.sv_rbr (role, argskey) with
-                               | Some c -> c
-                               | None ->
-                                   let c = ref [] in
-                                   Hashtbl.replace t.sv_rbr (role, argskey) c;
-                                   c
-                             in
-                             let revoker_ref =
-                               {
-                                 Ast.sref = Ast.local_service;
-                                 role = revoker_role;
-                                 ref_args = [];
-                                 starred = false;
-                               }
-                             in
-                             cell := (revoker_ref, rbr) :: !cell
-                           end)
-                         i.i_rbrs
-                     end)
-                   restored;
-                 (* Kick the reread machinery: every re-mirrored external is
-                    Unknown until its issuer answers (§4.10). *)
-                 Hashtbl.iter
-                   (fun peer_name pl ->
-                     Hashtbl.iter
-                       (fun key _ -> Hashtbl.replace pl.pl_reread_pending key ())
-                       pl.pl_externals;
-                     match find_service t.sv_registry peer_name with
-                     | None -> ()
-                     | Some peer ->
-                         with_peer_session t pl (fun session ->
-                             if not pl.pl_rereading then reread_pending t pl peer session))
-                   t.sv_peers;
-                 Stats.incr (stats t) "oasis.recover";
-                 Stats.observe (stats t) "oasis.recover.records" (List.length records)));
-          Trace.finish tr sp;
-          Stats.observe_latency (stats t) "oasis.recover.e2e"
-            (Engine.now (Net.engine t.sv_net) -. t0);
-          (* The completion hook only fires when the replay actually ran: a
-             crash racing the delayed closure aborts the recovery, and the
-             caller (a replica promotion) must not treat it as finished. *)
-          if up then Option.iter (fun k -> k ()) on_done)
+let recover ?(on_done = ignore) t =
+  Ledger.recover t.sv_ledger ~rematerialise:(fun () -> rematerialise t) ~on_done
 
-let () = recover_ref := fun t -> recover t
+(* --- creation --- *)
+
+let assign_role_bits rolefile =
+  let from_entries = Ast.defined_roles rolefile in
+  let from_defs = List.map (fun d -> d.Ast.decl_name) (Ast.defs rolefile) in
+  let all = List.sort_uniq String.compare (from_entries @ from_defs) in
+  (* Deterministic mapping fixed at initialisation (§4.3). *)
+  if List.length all > 62 then Error "too many roles for the role bit-set (max 62)"
+  else Ok (List.mapi (fun i r -> (r, i)) all)
+
+(* Federation-wide lint hook.  [Federation_lint] depends on this module
+   (its [of_registry] reads registered services), so registration gating on
+   the OASIS00n codes cannot call it directly; the linter installs itself
+   here at link time.  Until then the hook reports nothing, which matches
+   the pre-federation-lint behaviour. *)
+let federation_linter :
+    (registry -> name:string -> rolefile:Ast.rolefile -> Analyze.diag list) ref =
+  ref (fun _ ~name:_ ~rolefile:_ -> [])
+
+let set_federation_linter f = federation_linter := f
+
+(* Crash: volatile state dies.  Every credential record backing an issued
+   certificate, every §4.11 revoker arm and every external surrogate is
+   forgotten from the in-memory table (their children now read a dangling
+   — permanently False — reference: fail closed), sessions drop, caches
+   clear.  The ledger then empties its mirror; its journal survives and
+   is replayed by the restart hook. *)
+let crash t =
+  Hashtbl.iter
+    (fun _ pl ->
+      Option.iter Broker.close pl.pl_session;
+      Hashtbl.iter (fun _ surrogate -> Credrec.forget t.sv_table surrogate) pl.pl_externals)
+    t.sv_peers;
+  Hashtbl.iter
+    (fun _ cell -> List.iter (fun (_, rbr) -> Credrec.forget t.sv_table rbr) !cell)
+    t.sv_rbr;
+  Ledger.iter_issued t.sv_ledger (fun key ->
+      Hashtbl.remove t.sv_notifying key;
+      match Credrec.unmarshal_ref key with
+      | Some cref -> Credrec.forget t.sv_table cref
+      | None -> ());
+  Hashtbl.reset t.sv_peers;
+  Hashtbl.reset t.sv_rbr;
+  Hashtbl.reset t.sv_pending_mods;
+  Hashtbl.reset t.sv_pending_ctx;
+  Cache.clear t.sv_sig_cache;
+  Cache.clear t.sv_residuals
+
+(* Batched notification: record changes accumulate in [sv_pending_mods]
+   and are flushed as ONE ModifiedBatch digest at the top of each broker
+   heartbeat tick, so the digest rides that very tick's coalesced
+   heartbeat message (steady-state: O(peers) messages per period,
+   §4.10). *)
+let flush_mods t =
+  if Hashtbl.length t.sv_pending_mods > 0 then begin
+    let mods =
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.sv_pending_mods []
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    in
+    Hashtbl.reset t.sv_pending_mods;
+    Stats.observe (stats t) "oasis.mods.flush" (List.length mods);
+    let digest = String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) mods) in
+    (* The flush span's parent is the buffered context with the earliest
+       origin: a digest merging several bursts is attributed to the oldest
+       one it carries, so no end-to-end latency is under-reported. *)
+    let tr = tracer t in
+    let parent =
+      Hashtbl.fold
+        (fun _ c acc ->
+          match acc with
+          | Some best when Trace.origin best <= Trace.origin c -> acc
+          | _ -> Some c)
+        t.sv_pending_ctx None
+    in
+    Hashtbl.reset t.sv_pending_ctx;
+    let sp = Trace.start tr ?parent "revoke.flush" in
+    Trace.add_attr sp "mods" (string_of_int (List.length mods));
+    Trace.with_ctx tr
+      (Some (Trace.ctx_of sp))
+      (fun () -> ignore (Broker.signal t.sv_broker "ModifiedBatch" [ Value.Str digest ]));
+    Trace.finish tr sp
+  end
+
+let create net host reg ~name:sv_name ?(rolefile_id = "main") ~rolefile ?(funcs = [])
+    ?(compound_certificates = true) ?(fixpoint_entry = false) ?(heartbeat = 1.0)
+    ?(batch_notifications = true) ?disk ?(snapshot_every = 128) ?(lint = `Warn)
+    ?(register = true) () =
+  match Parser.parse_result rolefile with
+  | Error e -> Error e
+  | Ok parsed -> (
+      let callbacks =
+        {
+          Infer.no_callbacks with
+          Infer.external_sig =
+            (fun ~service ~role ->
+              match find_service reg service with
+              | None -> None
+              | Some peer -> Infer.signature peer.sv_sigs role);
+        }
+      in
+      match Infer.infer ~callbacks parsed with
+      | Error e -> Error ("type error: " ^ e)
+      | Ok sigs -> (
+          let lint_gate =
+            match lint with
+            | `Off -> None
+            | (`Warn | `Strict) as mode ->
+                let context =
+                  {
+                    Analyze.default_context with
+                    Analyze.infer = callbacks;
+                    known_funcs = Some (List.map fst funcs @ [ "unixacl"; "acl" ]);
+                  }
+                in
+                let diags = Analyze.check ~file:sv_name ~context parsed in
+                (* Federation-wide codes (OASIS001-008) over the already
+                   registered peers plus this service, keeping only the
+                   diagnostics anchored at this service: joining must not
+                   fail on a defect that is a peer's alone. *)
+                let diags =
+                  if register then
+                    diags
+                    @ List.filter
+                        (fun d -> String.equal d.Analyze.file sv_name)
+                        (!federation_linter reg ~name:sv_name ~rolefile:parsed)
+                  else diags
+                in
+                let gating = List.filter (Analyze.gates ~strict:(mode = `Strict)) diags in
+                (match gating with
+                | [] ->
+                    (* Non-gating findings are logged, not fatal. *)
+                    List.iter
+                      (fun d -> Logs.warn (fun m -> m "%s" (Analyze.diag_to_string d)))
+                      diags;
+                    None
+                | d :: _ ->
+                    Some
+                      (Printf.sprintf "lint: %s%s" (Analyze.diag_to_string d)
+                         (match List.length gating with
+                         | 1 -> ""
+                         | n -> Printf.sprintf " (and %d more issue(s))" (n - 1))))
+          in
+          match lint_gate with
+          | Some e -> Error e
+          | None -> (
+          match assign_role_bits parsed with
+          | Error e -> Error e
+          | Ok bits ->
+              let prng = Prng.create (Int64.of_int (Hashtbl.hash sv_name + 7)) in
+              let ledger =
+                Ledger.create net host ?disk ~file:("svc." ^ sv_name) ~every:snapshot_every ()
+              in
+              let t =
+                {
+                  sv_net = net;
+                  sv_host = host;
+                  sv_registry = reg;
+                  sv_name;
+                  sv_rolefile_id = rolefile_id;
+                  sv_rolefile = parsed;
+                  sv_sigs = sigs;
+                  sv_role_bits = bits;
+                  sv_secrets = Signing.Rolling.create prng;
+                  sv_compound = compound_certificates;
+                  sv_fixpoint = fixpoint_entry;
+                  sv_table = Credrec.create_table ();
+                  sv_groups = Hashtbl.create 8;
+                  sv_funcs = funcs;
+                  sv_broker =
+                    Broker.create_server net host ~name:sv_name ~heartbeat
+                      ~coalesce:batch_notifications ?disk ();
+                  sv_peers = Hashtbl.create 8;
+                  sv_notifying = Hashtbl.create 64;
+                  sv_family = Hashtbl.create 4;
+                  sv_rbr = Hashtbl.create 16;
+                  sv_audit = [];
+                  sv_sig_cache = Cache.create sig_cache_cap;
+                  sv_batch = batch_notifications;
+                  sv_policy_hash = Hashtbl.hash rolefile;
+                  sv_pending_mods = Hashtbl.create 64;
+                  sv_pending_ctx = Hashtbl.create 64;
+                  sv_residuals = Cache.create residual_cache_cap;
+                  sv_ledger = ledger;
+                  sv_auto_recover = true;
+                  sv_crypto_checks = 0;
+                  sv_cache_hits = 0;
+                }
+              in
+              (* Backup replicas share the primary's name but must not
+                 shadow it in the registry; promotion re-registers. *)
+              if register then Hashtbl.replace reg sv_name t;
+              Ledger.on_host ledger
+                ~crash:(fun () -> crash t)
+                ~restart:(fun () -> if t.sv_auto_recover then recover t);
+              if batch_notifications then
+                Broker.on_heartbeat_tick t.sv_broker (fun () -> flush_mods t);
+              Ok t)))
 
 (* --- durability introspection (tests and benches) --- *)
 
-let durable_issued t =
-  match t.sv_durable with
-  | None -> 0
-  | Some du -> Hashtbl.fold (fun _ i n -> if i.i_alive then n + 1 else n) du.du_issued 0
-
-let durable_flush t =
-  match t.sv_durable with None -> () | Some du -> Journal.flush du.du_journal
-
-let blacklisted t ~role ~args = Hashtbl.mem t.sv_blacklist (blacklist_key role args)
+let durable_issued t = Ledger.live_issued t.sv_ledger
+let durable_flush t = Ledger.flush t.sv_ledger
+let blacklisted t ~role ~args = Ledger.fired t.sv_ledger (blacklist_key role args)
 
 (* --- state fingerprint (model checking) --- *)
 
@@ -2063,27 +1689,14 @@ let fp_key = Oasis_util.Siphash.key_of_string "oasis.service.fingerprint"
 
 let fingerprint t =
   let b = Buffer.create 512 in
-  let add_sorted xs =
-    List.iter
-      (fun x ->
-        Buffer.add_string b x;
-        Buffer.add_char b '\x02')
-      (List.sort String.compare xs)
-  in
   Buffer.add_string b (Int64.to_string (Credrec.fingerprint t.sv_table));
   Buffer.add_char b '\x03';
-  add_sorted
-    (Hashtbl.fold (fun (r, a) () acc -> (r ^ "\x01" ^ a) :: acc) t.sv_blacklist []);
+  List.iter
+    (fun x ->
+      Buffer.add_string b x;
+      Buffer.add_char b '\x02')
+    (List.sort String.compare
+       (Hashtbl.fold (fun k v acc -> (k ^ "=" ^ v) :: acc) t.sv_pending_mods []));
   Buffer.add_char b '\x03';
-  add_sorted (Hashtbl.fold (fun k v acc -> (k ^ "=" ^ v) :: acc) t.sv_pending_mods []);
-  Buffer.add_char b '\x03';
-  (match t.sv_durable with
-  | None -> ()
-  | Some du ->
-      add_sorted
-        (Hashtbl.fold
-           (fun k i acc -> (k ^ if i.i_alive then "+" else "-") :: acc)
-           du.du_issued []);
-      Buffer.add_char b '\x03';
-      Buffer.add_string b (Int64.to_string (Disk.fingerprint (Journal.disk du.du_journal))));
+  Buffer.add_string b (Int64.to_string (Ledger.fingerprint t.sv_ledger));
   Oasis_util.Siphash.hash fp_key (Buffer.contents b)

@@ -9,7 +9,14 @@
     network; inter-service certificate validation is an RPC to the issuing
     service (§2.10), with the result cached locally as an {e external
     record} kept coherent by event notification and marked [Unknown] when
-    heartbeats stop (§4.10). *)
+    heartbeats stop (§4.10).
+
+    What a service promises to remember across crashes — the §4.11
+    hire/fire databases and the certificates it has issued — lives in its
+    {!Ledger}, which also owns their journal records and the ack that
+    waits for durability.  This module holds no durable state of its own:
+    its crash recovery only re-materialises credential records from the
+    mirror the ledger replays. *)
 
 type value = Oasis_rdl.Value.t
 
@@ -33,12 +40,10 @@ val create :
   ?rolefile_id:string ->
   rolefile:string ->
   ?funcs:(string * (value list -> (value, string) result)) list ->
-  ?resolve_literal:(string -> value option) ->
   ?compound_certificates:bool ->
   ?fixpoint_entry:bool ->
   ?heartbeat:float ->
   ?batch_notifications:bool ->
-  ?sig_cache_cap:int ->
   ?disk:Oasis_store.Disk.t ->
   ?snapshot_every:int ->
   ?lint:[ `Off | `Warn | `Strict ] ->
@@ -58,7 +63,8 @@ val create :
     diagnostics anchored at the candidate itself.
 
     Signatures are 16 hex chars (§4.2's per-service trade-off, fixed
-    here) and signature checks are cached.  [compound_certificates]: fold
+    here) and signature checks are cached (at most 1024 entries,
+    two-generation eviction; compiled residuals at most 4096).  [compound_certificates]: fold
     same-argument roles entered in one request into one certificate (§4.3;
     default true).
     [fixpoint_entry]: ablation switch — iterate statement application to a
@@ -68,12 +74,12 @@ val create :
     notifications into one ModifiedBatch digest per peer link, flushed on
     the broker heartbeat tick (bounded by one heartbeat of extra latency);
     with [false], every record change is its own Modified event, as in the
-    unbatched scheme benchmarked by e15.  [sig_cache_cap] (default 1024):
-    bound on the signature-verification cache (two-generation eviction).
+    unbatched scheme benchmarked by e15.
 
-    [disk] enables the durable-state plane: the §4.11 hire/fire databases
-    and issued certificates (with their dependency lists) are journalled
-    ({!Oasis_store.Journal}, files [svc.<name>.wal] and [svc.<name>.snap})
+    [disk] enables the durable-state plane: the {!Ledger} journals the
+    §4.11 hire/fire databases and issued certificates (with their
+    dependency lists) ({!Oasis_store.Journal}, files [svc.<name>.wal] and
+    [svc.<name>.snap})
     on the given stable-storage device, checkpointed once the appends
     since the last image reach [max snapshot_every n] ([snapshot_every]
     defaults to 128; [n] is the last image's record count, so checkpoint
@@ -81,8 +87,9 @@ val create :
     host crash+restart — restored certificates resolve again, externals
     re-mirror at [Unknown] until the reread machinery heals them, and
     fired instances stay fired.  The broker's retained event log rides
-    the same device.  Without [disk], a crash loses all service state
-    (the pre-durability behaviour).
+    the same device.  Without [disk] the service installs no crash hook:
+    a host crash drops its broker sessions and in-flight messages but
+    leaves its in-memory state as it was.
 
     [register] (default true): install the service in [registry] under its
     name.  Backup replicas of a replica group (see {!Replica}) pass
@@ -328,7 +335,7 @@ val recover : ?on_done:(unit -> unit) -> t -> unit
 
 val set_replication : t -> sync:((unit -> unit) -> unit) -> unit
 (** Install the quorum hook: {e every} client ack that previously rode the
-    local group commit ([ack_when_durable]) now rides [sync] instead.
+    local group commit ({!Ledger.ack}) now rides [sync] instead.
     Also stops the journal checkpointing ({!Oasis_store.Journal.set_replicated}):
     the WAL must remain the full stream in global record coordinates (see
     DESIGN.md). *)

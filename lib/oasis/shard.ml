@@ -202,7 +202,7 @@ let group_by_service_name t svc =
    requests are idempotent exactly when the shard-side operation is.  The
    asynchronous ops use rpc_async_retry because their acks are themselves
    asynchronous — a fire ack rides the owning shard's WAL group commit
-   (Service.ack_when_durable), and answering from a synchronous handler
+   (Ledger.ack), and answering from a synchronous handler
    would resurrect the acked-but-lost-firing bug the model checker found
    in PR 6.  Timeouts are generous: the forwarded leg may itself run a
    cross-shard validation RPC with its own retry budget. *)

@@ -19,7 +19,7 @@ let rec occurs r = function
   | Var { contents = Link t } -> occurs r t
   | Var { contents = Unbound _ } | Int | Str | Set _ | Obj _ -> false
 
-let rec pp ppf t =
+let pp ppf t =
   match repr t with
   | Int -> Format.pp_print_string ppf "Integer"
   | Str -> Format.pp_print_string ppf "String"
@@ -31,7 +31,7 @@ let rec pp ppf t =
 let to_string t = Format.asprintf "%a" pp t
 
 let unify a b =
-  let rec go a b =
+  let go a b =
     let a = repr a and b = repr b in
     match (a, b) with
     | Int, Int | Str, Str -> Ok ()

@@ -354,7 +354,7 @@ let differential_run ?(replicas = 1) ~seed ~shards () =
     (Stats.count (Net.stats w.w_net) "fault.crash" >= 1);
   (* §4.10 under sharding: the cross-shard cascade must be visible
      everywhere within 3 heartbeats (heartbeat = 1.0) of the heal. *)
-  let sentinel (u, vci, c) want =
+  let sentinel (_, vci, c) want =
     String.equal (status_at_issuer club ~client:vci c) want
   in
   let member u = List.find (fun (x, _, _) -> x = u) creds.c_members in
@@ -371,7 +371,7 @@ let differential_run ?(replicas = 1) ~seed ~shards () =
   let rec poll () =
     if converged () then ()
     else if Engine.now w.w_engine >= deadline then
-      let s (u, vci, c) = status_at_issuer club ~client:vci c in
+      let s (_, vci, c) = status_at_issuer club ~client:vci c in
       Alcotest.failf
         "no convergence within 3 heartbeats of heal (seed %Ld, %d shards): m.u0=%s m.u1=%s \
          e.u0=%s e.u1=%s e.u3=%s m.u1.new=%s"

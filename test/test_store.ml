@@ -448,6 +448,113 @@ let test_broker_checkpoint_crash_window () =
   checkb "retrospective registration delivers each event once, in seq order" true
     (List.rev !got = List.init retained Fun.id)
 
+(* --- the ledger's record grammar --- *)
+
+module Ledger = Oasis_core.Ledger
+module Credrec = Oasis_core.Credrec
+
+(* Role, argument and peer names are free-form bytes: draw them from an
+   alphabet holding every separator the record grammar uses. *)
+let ledger_bytes prng =
+  let alphabet = "ab\x00\x01\x1c\x1d\x1e\x1f=;.\xff" in
+  String.init (Prng.int prng 5) (fun _ -> alphabet.[Prng.int prng (String.length alphabet)])
+
+(* A seeded run of random fire / hire / issue / invalidate transitions on a
+   durable ledger that checkpoints every 8 appends, with the engine stepped
+   between bursts so checkpoints land mid-run.  Returns the live ledger and
+   what a recovery replays: the image's records, then the log's. *)
+let ledger_run seed =
+  let w = make_dworld () in
+  let prng = Prng.create (Int64.of_int seed) in
+  let l = Ledger.create w.net w.host ~disk:w.disk ~file:"svc.L" ~every:8 () in
+  let table = Credrec.create_table () in
+  let instances = Array.init 6 (fun _ -> (ledger_bytes prng, ledger_bytes prng)) in
+  let issued = ref [] in
+  let some_issued () = Prng.pick prng (Array.of_list !issued) in
+  let fresh_key () = Credrec.marshal_ref (Credrec.leaf table ()) in
+  for step = 1 to 200 do
+    (match Prng.int prng 5 with
+    | 0 -> Ledger.fire l (Prng.pick prng instances)
+    | 1 -> Ledger.hire l (Prng.pick prng instances)
+    | 2 | 3 ->
+        (* Now and then re-issue a record already issued: not re-logged. *)
+        let crr =
+          if !issued <> [] && Prng.int prng 4 = 0 then some_issued () else Credrec.leaf table ()
+        in
+        let deps =
+          List.init (Prng.int prng 3) (fun _ ->
+              if Prng.bool prng then Ledger.Dext (ledger_bytes prng, fresh_key ())
+              else Ledger.Dloc (fresh_key ()))
+        in
+        let rbrs =
+          List.init (Prng.int prng 3) (fun _ ->
+              (ledger_bytes prng, ledger_bytes prng, ledger_bytes prng))
+        in
+        Ledger.issue l crr ~deps ~rbrs;
+        issued := crr :: !issued
+    | _ -> if !issued <> [] then Ledger.invalidate l (some_issued ()));
+    if step mod 25 = 0 then drun w 0.05
+  done;
+  Ledger.flush l;
+  drun w 1.0;
+  let journal = Option.get (Ledger.journal l) in
+  checkb (Printf.sprintf "seed %d checkpointed" seed) true (Journal.image_bytes journal > 0);
+  (l, Journal.records journal)
+
+(* A ledger with no disk, rebuilt by replaying [records] into it. *)
+let ledger_replay records =
+  let w = make_dworld () in
+  let l = Ledger.create w.net w.host ~file:"svc.R" ~every:8 () in
+  List.iter (Ledger.apply_record l) records;
+  l
+
+let test_ledger_replay_rebuilds_mirror () =
+  for seed = 1 to 30 do
+    let live, records = ledger_run seed in
+    let image = Ledger.image live in
+    checkb (Printf.sprintf "seed %d: mirror not empty" seed) true (image <> []);
+    checkb
+      (Printf.sprintf "seed %d: image then log rebuilds the live mirror" seed)
+      true
+      (Ledger.image (ledger_replay records) = image)
+  done
+
+let test_ledger_ignores_unknown_tags () =
+  let _, records = ledger_run 7 in
+  let image = Ledger.image (ledger_replay records) in
+  checki "no barrier yet" 0 (Ledger.last_barrier records);
+  (* A replica group's stream: an epoch barrier after every record. *)
+  let stream = List.concat (List.mapi (fun i r -> [ r; Ledger.barrier (i + 1) ]) records) in
+  checki "last barrier" (List.length records) (Ledger.last_barrier stream);
+  checkb "barriers are skipped" true (Ledger.image (ledger_replay stream) = image);
+  let noise =
+    [ Ledger.barrier 3; "B\x1fnot-an-epoch"; "Z\x1f61\x1f62"; "f\x1f61\x1f62"; ""; "\x1f"; "\x1c" ]
+  in
+  checkb "unknown tags are skipped" true (Ledger.image (ledger_replay (records @ noise)) = image)
+
+let test_ledger_skips_damaged_records () =
+  let _, records = ledger_run 11 in
+  let prng = Prng.create 11L in
+  let fields r = List.length (String.split_on_char '\x1f' r) in
+  let apply_alone r =
+    let l = ledger_replay [] in
+    (try Ledger.apply_record l r
+     with e -> Alcotest.failf "record %S raised %s" r (Printexc.to_string e));
+    Ledger.image l
+  in
+  List.iter
+    (fun r ->
+      for n = 0 to String.length r - 1 do
+        let cut = String.sub r 0 n in
+        let image = apply_alone cut in
+        if fields cut < fields r then
+          checkb (Printf.sprintf "truncated %S is skipped" cut) true (image = [])
+      done;
+      let b = Bytes.of_string r in
+      Bytes.set b (Prng.int prng (Bytes.length b)) (Char.chr (Prng.int prng 256));
+      ignore (apply_alone (Bytes.to_string b)))
+    records
+
 (* --- service recovery (§4.11 persistence) --- *)
 
 let meet_rolefile =
@@ -694,6 +801,15 @@ let () =
             `Quick test_journal_amortized_crash_windows;
           Alcotest.test_case "broker crash between image and rewrite keeps events once" `Quick
             test_broker_checkpoint_crash_window;
+        ] );
+      ( "ledger",
+        [
+          Alcotest.test_case "image then log rebuilds the live mirror (seeded)" `Quick
+            test_ledger_replay_rebuilds_mirror;
+          Alcotest.test_case "unknown tags and epoch barriers are skipped" `Quick
+            test_ledger_ignores_unknown_tags;
+          Alcotest.test_case "truncated or garbled records are skipped" `Quick
+            test_ledger_skips_damaged_records;
         ] );
       ( "service-recovery",
         [

@@ -7,7 +7,6 @@ module Signing = Oasis_util.Signing
 module Bitset = Oasis_util.Bitset
 module Pqueue = Oasis_util.Pqueue
 
-let check = Alcotest.check
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
@@ -201,7 +200,7 @@ let test_rolling_rejects_truncated () =
 
 (* --- bitset --- *)
 
-let small_int_list = QCheck.(small_list (int_bound Bitset.(62)))
+let small_int_list = QCheck.(small_list (int_bound 62))
 
 let prop_bitset_roundtrip =
   QCheck.Test.make ~name:"bitset marshal roundtrip" ~count:300 small_int_list (fun l ->
