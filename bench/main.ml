@@ -47,14 +47,16 @@ Member <- <|* Member
         let next = fresh_vci () in
         let d, _ =
           await w 1.0 "e1 delegation"
-            (Service.request_delegation svc ~client_host:w.client_host ~delegator:!holder
-               ~using:!cert ~role:"Member" ~required:[])
+            (fun k ->
+              Service.request_delegation svc ~client_host:w.client_host ~delegator:!holder
+                ~using:!cert ~role:"Member" ~required:[] k)
         in
         holder := next;
         cert :=
           await w 1.0 "e1 entry"
-            (Service.request_entry svc ~client_host:w.client_host ~client:next ~role:"Member"
-               ~delegation:d)
+            (fun k ->
+              Service.request_entry svc ~client_host:w.client_host ~client:next ~role:"Member"
+                ~delegation:d k)
       done;
       let c1 = Service.crypto_checks svc in
       assert (Service.validate svc ~client:!holder !cert = Ok ());
@@ -414,8 +416,9 @@ R(u) <-
             if Service.name svc = "S1" then prev
             else
               await w 1.0 "e8 entry"
-                (Service.request_entry svc ~client_host:w.client_host ~client ~role:"R"
-                   ~creds:[ prev ]))
+                (fun k ->
+                  Service.request_entry svc ~client_host:w.client_host ~client ~role:"R"
+                    ~creds:[ prev ] k))
           base services
       in
       let last = List.nth services (chain - 1) in
@@ -487,8 +490,9 @@ Member(u) <- Login.LoggedOn(u, h)* <|* Chair : (u in staff)*
     ( conf,
       jmb,
       await w 2.0 "e9 chair"
-        (Service.request_entry conf ~client_host:w.client_host ~client:jmb ~role:"Chair"
-           ~creds:[ jc ]) )
+        (fun k ->
+          Service.request_entry conf ~client_host:w.client_host ~client:jmb ~role:"Chair"
+            ~creds:[ jc ] k) )
   in
   let tests =
     [
@@ -538,7 +542,7 @@ let e10 () =
     let engine = Engine.create () in
     let net = Net.create ~latency:(Net.Fixed 0.005) engine in
     let reg = Service.create_registry () in
-    let site = Site.create net reg ~name:"S" ~rooms:[ "r1" ] ~heartbeat:0.5 () in
+    let site = Site.create net ~name:"S" ~rooms:[ "r1" ] ~heartbeat:0.5 () in
     Site.register_badge site ~badge:7 ~user:"me";
     let nsvc =
       ok "e10 Namer"
@@ -602,11 +606,10 @@ let e11 () =
   header "E11: inter-site badge protocol messages (fig 6.2) vs naive broadcast";
   let engine = Engine.create () in
   let net = Net.create ~latency:(Net.Fixed 0.005) engine in
-  let reg = Service.create_registry () in
   let nsites = 3 in
   let sites =
     List.init nsites (fun i ->
-        Site.create net reg
+        Site.create net
           ~name:(Printf.sprintf "Site%d" i)
           ~rooms:[ "a"; "b"; "c"; "d" ] ~heartbeat:1.0 ())
   in
@@ -736,21 +739,24 @@ Member(u) <- Login.LoggedOn(u, h)* <|* Chair : (u in staff)*
     let jmb_cert = logged_on login ~client:jmb "jmb" "ely" in
     let chair =
       await w 2.0 "e14 chair"
-        (Service.request_entry conf ~client_host:w.client_host ~client:jmb ~role:"Chair"
-           ~creds:[ jmb_cert ])
+        (fun k ->
+          Service.request_entry conf ~client_host:w.client_host ~client:jmb ~role:"Chair"
+            ~creds:[ jmb_cert ] k)
     in
     let dm = fresh_vci () in
     let dm_cert = logged_on login ~client:dm "dm" "ely" in
     let d, _ =
       await w 2.0 "e14 delegation"
-        (Service.request_delegation conf ~client_host:w.client_host ~delegator:jmb ~using:chair
-           ~role:"Member"
-           ~required:[ ("Login", "LoggedOn", [ V.Str "dm"; V.Str "*" ]) ])
+        (fun k ->
+          Service.request_delegation conf ~client_host:w.client_host ~delegator:jmb ~using:chair
+            ~role:"Member"
+            ~required:[ ("Login", "LoggedOn", [ V.Str "dm"; V.Str "*" ]) ] k)
     in
     let member =
       await w 2.0 "e14 member"
-        (Service.request_entry conf ~client_host:w.client_host ~client:dm ~role:"Member"
-           ~creds:[ dm_cert ] ~delegation:d)
+        (fun k ->
+          Service.request_entry conf ~client_host:w.client_host ~client:dm ~role:"Member"
+            ~creds:[ dm_cert ] ~delegation:d k)
     in
     run_for w (4.0 *. heartbeat);
     assert (Service.validate conf ~client:dm member = Ok ());
@@ -1008,8 +1014,9 @@ Member(u) <- Login.LoggedOn(u, h)* |>* Chair : u in staff
     let jmb = fresh_vci () in
     let chair =
       await w 2.0 "e17 chair entry"
-        (Service.request_entry meet ~client_host:w.client_host ~client:jmb ~role:"Chair"
-           ~creds:[ logged_on login ~client:jmb "jmb" "ely" ])
+        (fun k ->
+          Service.request_entry meet ~client_host:w.client_host ~client:jmb ~role:"Chair"
+            ~creds:[ logged_on login ~client:jmb "jmb" "ely" ] k)
     in
     let last = Array.make members None in
     for r = 0 to rounds - 1 do

@@ -34,7 +34,7 @@ let () =
   (* Three sites, as in the dissertation's Cambridge / ORL / PARC setting. *)
   let sites =
     List.map
-      (fun (name, rooms) -> Site.create net registry ~name ~rooms ~heartbeat:0.5 ())
+      (fun (name, rooms) -> Site.create net ~name ~rooms ~heartbeat:0.5 ())
       [
         ("Cambridge", [ "T14"; "T15"; "library"; "machine-room" ]);
         ("ORL", [ "lab1"; "lab2" ]);

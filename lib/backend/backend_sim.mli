@@ -7,14 +7,7 @@
     [test/test_backend.ml] (replaying a persisted model-checking schedule)
     pins down. *)
 
-val create :
-  ?seed:int64 ->
-  ?latency:Oasis_sim.Net.latency ->
-  ?fsync_latency:float ->
-  ?write_bandwidth:float ->
-  ?read_bandwidth:float ->
-  unit ->
-  Backend.t
-(** Defaults are exactly {!Oasis_sim.Net.create}'s and
-    {!Oasis_store.Disk.create}'s.  {!Backend.S.disk} memoizes one device
-    per host. *)
+val create : unit -> Backend.t
+(** A fresh engine, network and devices with {!Oasis_sim.Net.create}'s
+    and {!Oasis_store.Disk.create}'s defaults.  {!Backend.S.disk}
+    memoizes one device per host. *)

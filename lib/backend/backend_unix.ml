@@ -1,84 +1,15 @@
 module Engine = Oasis_sim.Engine
 module Net = Oasis_sim.Net
 module Disk = Oasis_store.Disk
-module Siphash = Oasis_util.Siphash
+module Frame = Oasis_util.Frame
 
-(* ------------------------------------------------------------------ *)
-(* Wire framing: the WAL's length+SipHash idiom (lib/store/wal.ml),    *)
-(* applied to a TCP byte stream.  A frame is                           *)
-(*   [length: 8 hex][SipHash-2-4 of payload: 16 hex][payload]          *)
-(* and the checksum provides integrity against a desynchronized or     *)
-(* truncated stream, not secrecy.                                      *)
-(* ------------------------------------------------------------------ *)
+(* The wire carries {!Oasis_util.Frame}s under the "tcp" key; a frame
+   whose checksum fails means a desynchronized stream, beyond recovery. *)
+let frame_key = Frame.key "tcp"
 
-let frame_key = Siphash.key_of_string "oasis.wal:tcp"
-
-let max_frame = 1 lsl 26 (* 64 MiB: anything larger is a desynced stream *)
-
-let frame payload =
-  Printf.sprintf "%08x%s%s" (String.length payload) (Siphash.hash_hex frame_key payload) payload
-
-let hex_val = function
-  | '0' .. '9' as c -> Char.code c - Char.code '0'
-  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-  | _ -> -1
-
-exception Corrupt_stream
-
-(* One frame from [buf] starting at [off], if complete: (payload, next_off).
-   Raises [Corrupt_stream] on a bad header or checksum — the connection is
-   beyond recovery and must be dropped. *)
-let decode_frame buf off =
-  let total = Buffer.length buf in
-  if off + 24 > total then None
-  else begin
-    let len =
-      let rec go i acc =
-        if i = 8 then acc
-        else
-          let v = hex_val (Buffer.nth buf (off + i)) in
-          if v < 0 then raise Corrupt_stream else go (i + 1) ((acc * 16) + v)
-      in
-      go 0 0
-    in
-    if len > max_frame then raise Corrupt_stream
-    else if off + 24 + len > total then None
-    else
-      let sum = Buffer.sub buf (off + 8) 16 in
-      let payload = Buffer.sub buf (off + 24) len in
-      if String.equal (Siphash.hash_hex frame_key payload) sum then Some (payload, off + 24 + len)
-      else raise Corrupt_stream
-  end
-
-(* Length-prefixed field packing for the RPC envelope (8-bit clean). *)
-let enc_fields fields =
-  let b = Buffer.create 128 in
-  List.iter
-    (fun f ->
-      Buffer.add_string b (Printf.sprintf "%08x" (String.length f));
-      Buffer.add_string b f)
-    fields;
-  Buffer.contents b
-
-let dec_fields s =
-  let total = String.length s in
-  let rec go off acc =
-    if off = total then Some (List.rev acc)
-    else if off + 8 > total then None
-    else
-      let len =
-        let rec h i acc =
-          if i = 8 then acc
-          else
-            let v = hex_val s.[off + i] in
-            if v < 0 then -1 else h (i + 1) ((acc * 16) + v)
-        in
-        h 0 0
-      in
-      if len < 0 || off + 8 + len > total then None
-      else go (off + 8 + len) (String.sub s (off + 8) len :: acc)
-  in
-  go 0 []
+(* 64 MiB: anything larger is a desynced stream.  A wire bound only: a
+   checkpoint image is one frame and may legitimately be larger. *)
+let max_frame = 1 lsl 26
 
 (* ------------------------------------------------------------------ *)
 (* Connections                                                         *)
@@ -86,10 +17,13 @@ let dec_fields s =
 
 type conn = {
   c_fd : Unix.file_descr;
-  c_buf : Buffer.t;  (* received, not yet decoded *)
-  mutable c_off : int;  (* decoded prefix of c_buf *)
+  mutable c_buf : Bytes.t;  (* received bytes; [c_off, c_len) not yet decoded *)
+  mutable c_off : int;
+  mutable c_len : int;
   mutable c_alive : bool;
 }
+
+let new_conn fd = { c_fd = fd; c_buf = Bytes.create 4096; c_off = 0; c_len = 0; c_alive = true }
 
 type t = {
   b_engine : Engine.t Lazy.t ref;
@@ -122,17 +56,15 @@ let close_conn t c =
       (Hashtbl.copy t.b_outgoing)
   end
 
-let write_all t c s =
-  let bytes = Bytes.of_string s in
-  let len = Bytes.length bytes in
-  let rec go off =
-    if off < len then
-      match Unix.write c.c_fd bytes off (len - off) with
-      | n -> go (off + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-      | exception Unix.Unix_error (_, _, _) -> close_conn t c
-  in
-  go 0
+(* Write all of [s] from [off], retrying interrupted writes; other
+   errors raise. *)
+let rec write_from fd s off =
+  if off < String.length s then
+    match Unix.write_substring fd s off (String.length s - off) with
+    | n -> write_from fd s (off + n)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_from fd s off
+
+let write_all t c s = try write_from c.c_fd s 0 with Unix.Unix_error _ -> close_conn t c
 
 (* --- the RPC envelope ---
 
@@ -145,10 +77,10 @@ let write_all t c s =
 let send_reply t c id result =
   if c.c_alive then
     let body = match result with Ok s -> "K" ^ s | Error e -> "E" ^ e in
-    write_all t c (frame (enc_fields [ "R"; id; body ]))
+    write_all t c (Frame.encode frame_key (Frame.pack [ "R"; id; body ]))
 
 let on_frame t c payload =
-  match dec_fields payload with
+  match Frame.unpack payload with
   | Some [ "Q"; id; _src; dst; port; body ] ->
       let dst =
         match Hashtbl.find_opt t.b_aliases dst with Some local -> local | None -> dst
@@ -166,32 +98,40 @@ let on_frame t c payload =
           else k (Error "malformed reply"))
   | _ -> close_conn t c
 
-let drain_conn t c =
-  let rec go () =
-    match decode_frame c.c_buf c.c_off with
-    | None ->
-        (* Compact once the decoded prefix dominates the buffer. *)
-        if c.c_off > 65536 then begin
-          let rest = Buffer.sub c.c_buf c.c_off (Buffer.length c.c_buf - c.c_off) in
-          Buffer.clear c.c_buf;
-          Buffer.add_string c.c_buf rest;
-          c.c_off <- 0
-        end
-    | Some (payload, next) ->
-        c.c_off <- next;
-        on_frame t c payload;
-        if c.c_alive then go ()
-    | exception Corrupt_stream -> close_conn t c
-  in
-  go ()
+(* Decoding reads [c_buf] in place: [on_frame] gets a copy of each
+   payload, and only [on_readable] writes the buffer. *)
+let rec drain_conn t c =
+  match Frame.decode_at frame_key (Bytes.unsafe_to_string c.c_buf) ~off:c.c_off ~limit:c.c_len with
+  | Frame.Payload (payload, next) ->
+      c.c_off <- next;
+      on_frame t c payload;
+      if c.c_alive then drain_conn t c
+  | Frame.Short need -> if need > Frame.header + max_frame then close_conn t c
+  | Frame.Bad -> close_conn t c
 
-let read_chunk = Bytes.create 65536
+let read_min = 4096
+
+(* Free at least [read_min] bytes after [c_len]: slide the undecoded
+   bytes to the front, into a doubled buffer if they still do not fit. *)
+let make_room c =
+  if Bytes.length c.c_buf - c.c_len < read_min then begin
+    let live = c.c_len - c.c_off in
+    let buf =
+      if live + read_min <= Bytes.length c.c_buf then c.c_buf
+      else Bytes.create (2 * (live + read_min))
+    in
+    Bytes.blit c.c_buf c.c_off buf 0 live;
+    c.c_buf <- buf;
+    c.c_off <- 0;
+    c.c_len <- live
+  end
 
 let on_readable t c =
-  match Unix.read c.c_fd read_chunk 0 (Bytes.length read_chunk) with
+  make_room c;
+  match Unix.read c.c_fd c.c_buf c.c_len (Bytes.length c.c_buf - c.c_len) with
   | 0 -> close_conn t c
   | n ->
-      Buffer.add_subbytes c.c_buf read_chunk 0 n;
+      c.c_len <- c.c_len + n;
       drain_conn t c
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | exception Unix.Unix_error (_, _, _) -> close_conn t c
@@ -200,7 +140,7 @@ let accept_conn t lfd =
   match Unix.accept lfd with
   | fd, _ ->
       Unix.setsockopt fd Unix.TCP_NODELAY true;
-      t.b_conns <- { c_fd = fd; c_buf = Buffer.create 4096; c_off = 0; c_alive = true } :: t.b_conns
+      t.b_conns <- new_conn fd :: t.b_conns
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | exception Unix.Unix_error (_, _, _) -> ()
 
@@ -215,7 +155,7 @@ let connect_to t name =
           match Unix.connect fd addr with
           | () ->
               Unix.setsockopt fd Unix.TCP_NODELAY true;
-              let c = { c_fd = fd; c_buf = Buffer.create 4096; c_off = 0; c_alive = true } in
+              let c = new_conn fd in
               t.b_conns <- c :: t.b_conns;
               Hashtbl.replace t.b_outgoing name c;
               Some c
@@ -230,7 +170,7 @@ let rm_call t ~src ~dst ~port payload k =
       let id = Printf.sprintf "%016x" t.b_next_id in
       t.b_next_id <- t.b_next_id + 1;
       Hashtbl.replace t.b_pending id k;
-      write_all t c (frame (enc_fields [ "Q"; id; src; dst; port; payload ]))
+      write_all t c (Frame.encode frame_key (Frame.pack [ "Q"; id; src; dst; port; payload ]))
 
 (* ------------------------------------------------------------------ *)
 (* The waiter: the engine's real-time run loop parks here between      *)
@@ -311,12 +251,7 @@ let disk_ops dir =
           let data = Buffer.contents f.rf_pending in
           Buffer.clear f.rf_pending;
           ignore (Unix.lseek f.rf_fd 0 Unix.SEEK_END);
-          let bytes = Bytes.of_string data in
-          let rec go off =
-            if off < Bytes.length bytes then
-              go (off + Unix.write f.rf_fd bytes off (Bytes.length bytes - off))
-          in
-          go 0;
+          write_from f.rf_fd data 0;
           Unix.fsync f.rf_fd;
           f.rf_durable <- f.rf_durable + String.length data
         end;
@@ -326,12 +261,7 @@ let disk_ops dir =
         let f = rfile file in
         let tmp = f.rf_path ^ ".tmp" in
         let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-        let bytes = Bytes.of_string data in
-        let rec go off =
-          if off < Bytes.length bytes then
-            go (off + Unix.write fd bytes off (Bytes.length bytes - off))
-        in
-        go 0;
+        write_from fd data 0;
         Unix.fsync fd;
         Unix.close fd;
         Unix.rename tmp f.rf_path;
@@ -373,7 +303,7 @@ let default_data_dir () =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "oasis-unix-%d" (Unix.getpid ()))
 
-let create ?data_dir ?seed ?(latency = Net.Fixed 0.0) () =
+let create ?data_dir ?seed () =
   let t =
     {
       b_engine = ref (lazy (assert false));
@@ -395,7 +325,7 @@ let create ?data_dir ?seed ?(latency = Net.Fixed 0.0) () =
   in
   let engine = Engine.create ~source () in
   t.b_engine := lazy engine;
-  let net = Net.create ?seed ~latency engine in
+  let net = Net.create ?seed ~latency:(Net.Fixed 0.0) engine in
   t.b_net <- Some net;
   Net.set_remote net
     (Some { Net.rm_call = (fun ~src ~dst ~port payload k -> rm_call t ~src ~dst ~port payload k) });

@@ -9,11 +9,12 @@
     {b Messaging} — in-process hosts talk through {!Oasis_sim.Net}
     unchanged (zero latency); the serialized named-port surface
     ({!Oasis_sim.Net.call}) additionally reaches {e remote} hosts
-    registered with {!peer}.  Frames on the wire reuse the WAL's
-    length+SipHash framing idiom: [%08x] payload length, 16 hex chars of
-    SipHash-2-4 over the payload, then the payload.  A checksum mismatch
-    means a desynchronized stream and drops the connection; outstanding
-    calls are answered by their {!Oasis_sim.Net} timeouts.
+    registered with {!peer}.  Each message on the wire is one
+    {!Oasis_util.Frame} under [Frame.key "tcp"] around a
+    {!Oasis_util.Frame.pack}ed envelope.  A bad header or checksum means a
+    desynchronized stream and drops the connection, as does a length
+    above 64 MiB (a wire-only bound); outstanding calls are answered by
+    their {!Oasis_sim.Net} timeouts.
 
     {b Storage} — one directory per host under {!data_dir}.  [append]
     buffers in memory (the page-cache analogue); [fsync] writes the
@@ -22,12 +23,10 @@
 
 type t
 
-val create :
-  ?data_dir:string -> ?seed:int64 -> ?latency:Oasis_sim.Net.latency -> unit -> t
+val create : ?data_dir:string -> ?seed:int64 -> unit -> t
 (** [data_dir] defaults to a fresh per-pid directory under the system temp
-    dir.  [latency] (default [Fixed 0.0]) applies to {e in-process}
-    delivery only — the wire provides its own, real, latency.  [seed]
-    seeds retry jitter. *)
+    dir.  [seed] seeds retry jitter.  In-process delivery has zero latency;
+    the wire provides its own, real, latency. *)
 
 val pack : t -> Backend.t
 

@@ -25,7 +25,7 @@ type t = {
    sites resolve each other's Masters and Namers. *)
 let directory : (string, t) Hashtbl.t = Hashtbl.create 8
 
-let create net _registry ~name ~rooms ?(heartbeat = 1.0) () =
+let create net ~name ~rooms ?(heartbeat = 1.0) () =
   let host = Net.add_host net ("site." ^ name) in
   let master = Broker.create_server net host ~name:("Master@" ^ name) ~heartbeat () in
   let namer = Broker.create_server net host ~name:("Namer@" ^ name) ~heartbeat ~retention:1e9 () in

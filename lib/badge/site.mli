@@ -17,16 +17,9 @@
 
 type t
 
-val create :
-  Oasis_sim.Net.t ->
-  Oasis_core.Service.registry ->
-  name:string ->
-  rooms:string list ->
-  ?heartbeat:float ->
-  unit ->
-  t
-(** The registry argument is not consulted: sites resolve each other
-    through their own directory, not through OASIS services. *)
+val create : Oasis_sim.Net.t -> name:string -> rooms:string list -> ?heartbeat:float -> unit -> t
+(** Sites resolve each other through their own directory, not through
+    OASIS services. *)
 
 val name : t -> string
 val rooms : t -> string list

@@ -30,7 +30,7 @@
 module Net = Oasis_sim.Net
 module Engine = Oasis_sim.Engine
 module Stats = Oasis_sim.Stats
-module Wal = Oasis_store.Wal
+module Frame = Oasis_util.Frame
 module Journal = Oasis_store.Journal
 
 type member = {
@@ -53,7 +53,7 @@ type t = {
   g_heartbeat : float;
   g_lease : float;
   g_stagger : float;
-  g_stream_key : string;  (* checksum-key name for shipped record batches *)
+  g_stream_key : Frame.key;  (* checksum key of shipped record batches *)
   mutable g_primary : int;
   mutable g_epoch : int;
   mutable g_ready : bool;  (* primary finished its promotion replay *)
@@ -83,13 +83,29 @@ let on_promote t f = t.g_on_promote <- f :: t.g_on_promote
    K-1; deploy odd K.) *)
 let majority t = (Array.length t.g_members / 2) + 1
 
+(* The stream and each member's log cache are record arrays that grow by
+   doubling: [store a n r] is [a] (or a doubled copy of its first [n]
+   records) with [r] at index [n]; [of_records] builds one from a list. *)
+let store a n r =
+  let a =
+    if n < Array.length a then a
+    else begin
+      let bigger = Array.make (max 64 (2 * Array.length a)) "" in
+      Array.blit a 0 bigger 0 n;
+      bigger
+    end
+  in
+  a.(n) <- r;
+  a
+
+let of_records recs =
+  let n = List.length recs in
+  let a = Array.make (max 64 n) "" in
+  List.iteri (fun i r -> a.(i) <- r) recs;
+  (a, n)
+
 let push_log t line =
-  if t.g_count = Array.length t.g_log then begin
-    let bigger = Array.make (max 64 (2 * Array.length t.g_log)) "" in
-    Array.blit t.g_log 0 bigger 0 t.g_count;
-    t.g_log <- bigger
-  end;
-  t.g_log.(t.g_count) <- line;
+  t.g_log <- store t.g_log t.g_count line;
   t.g_count <- t.g_count + 1
 
 let durable_at t i = if i = t.g_primary then t.g_local_durable else t.g_members.(i).m_acked
@@ -107,9 +123,7 @@ let check_waiters t =
 (* --- the receiver-side log cache --- *)
 
 let set_cache m recs =
-  let n = List.length recs in
-  let log = Array.make (max 64 n) "" in
-  List.iteri (fun i r -> log.(i) <- r) recs;
+  let log, n = of_records recs in
   m.m_log <- log;
   m.m_have <- n;
   m.m_have_dirty <- false
@@ -120,12 +134,7 @@ let journal m = Option.get (Service.journal m.m_svc)
 let reload m = if m.m_have_dirty then set_cache m (Journal.log_records (journal m))
 
 let cache_push m r =
-  if m.m_have = Array.length m.m_log then begin
-    let bigger = Array.make (max 64 (2 * Array.length m.m_log)) "" in
-    Array.blit m.m_log 0 bigger 0 m.m_have;
-    m.m_log <- bigger
-  end;
-  m.m_log.(m.m_have) <- r;
+  m.m_log <- store m.m_log m.m_have r;
   m.m_have <- m.m_have + 1
 
 (* --- log shipping (primary -> one backup, one RPC in flight each) --- *)
@@ -150,11 +159,9 @@ let rec ship_to t j =
     let total = t.g_count in
     let n = min (total - start) ship_batch in
     let records = Array.to_list (Array.sub t.g_log start n) in
-    (* Framed exactly as the WAL frames them (length + SipHash under the
-       group's stream key): the receiver re-validates before applying. *)
-    let payload =
-      String.concat "" (List.map (Wal.frame_with ~key:t.g_stream_key) records)
-    in
+    (* Framed as the WAL frames them, under the group's stream key: the
+       receiver re-validates before applying. *)
+    let payload = Frame.encode_all t.g_stream_key records in
     Net.rpc_async t.g_net ~category:"repl.ship"
       ~size:(32 + String.length payload)
       ~timeout:(3.0 *. t.g_heartbeat) ~src:p.m_host ~dst:m.m_host
@@ -173,9 +180,7 @@ let rec ship_to t j =
                      far we really are so it rewinds its cursor. *)
                   reply (Ok m.m_have)
                 else begin
-                  let records =
-                    Array.of_list (Wal.decode_with ~key:t.g_stream_key payload)
-                  in
+                  let records = Array.of_list (Frame.scan t.g_stream_key payload) in
                   let n = Array.length records in
                   (* Verify the overlap against the stream instead of
                      blindly skipping it: after a failover our tail may be
@@ -361,9 +366,7 @@ let promote t ~member:j ~from_epoch =
                           (* Rebuild the stream bookkeeping from what we
                              actually hold: anything beyond it was never
                              quorum-acked and is gone for good. *)
-                          let n = List.length full in
-                          let log = Array.make (max 64 n) "" in
-                          List.iteri (fun i r -> log.(i) <- r) full;
+                          let log, n = of_records full in
                           t.g_log <- log;
                           t.g_count <- n;
                           t.g_local_durable <- n;
@@ -467,7 +470,7 @@ let create net ~members:svcs ?(heartbeat = 0.2) ?(lease = 0.45) ?(stagger = 0.15
       g_heartbeat = heartbeat;
       g_lease = lease;
       g_stagger = stagger;
-      g_stream_key = "repl:" ^ name;
+      g_stream_key = Frame.key ("repl:" ^ name);
       g_primary = 0;
       g_epoch = 0;
       g_ready = true;

@@ -6,10 +6,10 @@
     primary verify at every later primary) on K distinct hosts.  The
     primary serves every request; its WAL append stream — in {e global}
     record coordinates, compaction disabled (see {!Service.set_replication})
-    — is shipped to backups as checksum-framed batches over the simulated
-    network ({!Oasis_store.Wal.frame_with}), journalled by
-    {!Oasis_store.Journal.follower_append}, and acked only once durable at the
-    receiver.  Client acks ({!Ledger.ack}) wait for a
+    — is shipped to backups over the simulated network as batches of
+    {!Oasis_util.Frame}s under the group's stream key, journalled by
+    {!Oasis_store.Journal.follower_append}, and acked only once durable at
+    the receiver.  Client acks ({!Ledger.ack}) wait for a
     majority write quorum (⌈(K+1)/2⌉): losing any minority of replicas —
     including the primary and its disk — loses no acknowledged operation.
 

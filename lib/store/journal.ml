@@ -1,5 +1,6 @@
 module Net = Oasis_sim.Net
 module Stats = Oasis_sim.Stats
+module Frame = Oasis_util.Frame
 
 type t = {
   j_wal : Wal.t;
@@ -43,7 +44,7 @@ let create disk ~file ~every ~image =
 let disk t = Wal.disk t.j_wal
 
 let save_image t payload k =
-  let framed = Wal.frame_with ~key:t.j_snap payload in
+  let framed = Frame.encode (Frame.key t.j_snap) payload in
   let st = Net.stats (Disk.net (disk t)) in
   Stats.incr st "store.snapshot";
   Stats.add_bytes st "store.snapshot" (String.length framed);
@@ -84,7 +85,7 @@ let flush t = Wal.flush t.j_wal
 
 let records t =
   let image =
-    match Wal.decode_with ~key:t.j_snap (Disk.read (disk t) ~file:t.j_snap) with
+    match Frame.scan (Frame.key t.j_snap) (Disk.read (disk t) ~file:t.j_snap) with
     | [ payload ] when payload <> "" -> String.split_on_char '\x1c' payload
     | _ -> []
   in

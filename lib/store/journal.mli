@@ -25,7 +25,9 @@
     member's copy of a replica group's stream, which must stay a prefix of
     that stream in global coordinates.
 
-    Records must not contain ['\x1c'], the image's record separator. *)
+    The image is one {!Oasis_util.Frame} under [Frame.key] of the image
+    file's name, its records joined by ['\x1c']; records must not contain
+    that separator. *)
 
 type t
 

@@ -1,12 +1,12 @@
 module Net = Oasis_sim.Net
 module Engine = Oasis_sim.Engine
 module Stats = Oasis_sim.Stats
-module Siphash = Oasis_util.Siphash
+module Frame = Oasis_util.Frame
 
 type t = {
   w_disk : Disk.t;
   w_file : string;
-  w_key : Siphash.key;
+  w_key : Frame.key;
   w_interval : float;
   w_fsync_each : bool;
   mutable w_pending_bytes : int;
@@ -21,48 +21,6 @@ type t = {
          re-enter it *)
 }
 
-let key_for file = Siphash.key_of_string ("oasis.wal:" ^ file)
-
-let frame key payload =
-  Printf.sprintf "%08x%s%s" (String.length payload) (Siphash.hash_hex key payload) payload
-
-let frame_with ~key payload = frame (key_for key) payload
-
-let hex_val = function
-  | '0' .. '9' as c -> Char.code c - Char.code '0'
-  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-  | _ -> -1
-
-(* Strict 8-hex length field; [-1] on any non-hex character (a torn or
-   corrupted header must stop the scan, not parse as garbage). *)
-let parse_len s off =
-  let rec go i acc =
-    if i = 8 then acc
-    else
-      let v = hex_val s.[off + i] in
-      if v < 0 then -1 else go (i + 1) ((acc * 16) + v)
-  in
-  go 0 0
-
-let decode_key key bytes =
-  let total = String.length bytes in
-  let rec go off acc =
-    if off + 24 > total then List.rev acc
-    else
-      let len = parse_len bytes off in
-      if len < 0 || off + 24 + len > total then List.rev acc
-      else
-        let sum = String.sub bytes (off + 8) 16 in
-        let payload = String.sub bytes (off + 24) len in
-        if String.equal (Siphash.hash_hex key payload) sum then
-          go (off + 24 + len) (payload :: acc)
-        else List.rev acc
-  in
-  go 0 []
-
-let decode_with ~key bytes = decode_key (key_for key) bytes
-let decode bytes = decode_with ~key:"" bytes
-
 let stats t = Net.stats (Disk.net t.w_disk)
 
 (* Pending bytes that force the group commit before its timer fires. *)
@@ -73,7 +31,7 @@ let create disk ~file ?(flush_interval = 0.05) ?(fsync_each = false) () =
     {
       w_disk = disk;
       w_file = file;
-      w_key = key_for file;
+      w_key = Frame.key file;
       w_interval = flush_interval;
       w_fsync_each = fsync_each;
       w_pending_bytes = 0;
@@ -108,7 +66,7 @@ let flush t =
   end
 
 let append_common t ?on_durable ~notify payload =
-  let framed = frame t.w_key payload in
+  let framed = Frame.encode t.w_key payload in
   Disk.append t.w_disk ~file:t.w_file framed;
   t.w_appended <- t.w_appended + 1;
   t.w_pending_bytes <- t.w_pending_bytes + String.length framed;
@@ -155,15 +113,13 @@ let rewrite t records k =
       (Printf.sprintf "Wal.rewrite %s: %d durability callback(s) pending (sync first)"
          t.w_file
          (List.length t.w_on_durable));
-  let b = Buffer.create 1024 in
-  List.iter (fun r -> Buffer.add_string b (frame t.w_key r)) records;
   t.w_pending_bytes <- 0;
   t.w_pending_records <- 0;
-  Disk.write_atomic t.w_disk ~file:t.w_file (Buffer.contents b) k
+  Disk.write_atomic t.w_disk ~file:t.w_file (Frame.encode_all t.w_key records) k
 
 let recover t =
   let bytes = Disk.read t.w_disk ~file:t.w_file in
-  let records = decode_key t.w_key bytes in
+  let records = Frame.scan t.w_key bytes in
   let st = stats t in
   Stats.incr st "store.recover";
   Stats.add_bytes st "store.recover" (String.length bytes);

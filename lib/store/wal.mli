@@ -1,12 +1,9 @@
 (** Write-ahead log with checksum framing and group commit.
 
-    Records are opaque strings framed as
-
-    {v [length: 8 hex chars][SipHash-2-4 of payload: 16 hex chars][payload] v}
-
-    and appended to one {!Disk} file.  The checksum key is derived from the
-    file name — it provides {e integrity} against torn/corrupt tails, not
-    secrecy.
+    Records are opaque strings, each framed by {!Oasis_util.Frame} (length,
+    SipHash-2-4 checksum, payload) and appended to one {!Disk} file.  The
+    checksum key is [Frame.key] of the file name — it provides
+    {e integrity} against torn/corrupt tails, not secrecy.
 
     {b Group commit}: appends land in the device's write buffer immediately,
     but the fsync making them durable is coalesced — it fires when the
@@ -73,17 +70,3 @@ val appended : t -> int
 val recover : t -> string list
 (** Decode the durable contents; records the scan in [store.recover]
     stats.  Use {!Disk.scan_delay} to charge the recovery time. *)
-
-val decode : string -> string list
-(** Pure decoding of a framed byte string (the recovery scan): the longest
-    valid prefix of records.  Total on arbitrary input.  Checksums are
-    validated against the key for file name [""] only when decoded via
-    {!decode_with}; this variant is keyed by [key_for ""]. *)
-
-val decode_with : key:string -> string -> string list
-(** [decode_with ~key:file bytes] decodes with the checksum key of [file];
-    {!recover} is [decode_with ~key:(file t) (Disk.read ...)]. *)
-
-val frame_with : key:string -> string -> string
-(** Frame one record under the checksum key of the named file; exposed for
-    the corruption property tests. *)

@@ -13,6 +13,7 @@ module Disk = Oasis_store.Disk
 module Backend = Oasis_backend.Backend
 module Backend_sim = Oasis_backend.Backend_sim
 module Backend_unix = Oasis_backend.Backend_unix
+module Frame = Oasis_util.Frame
 module Explore = Oasis_mc.Explore
 module Scenarios = Oasis_mc.Scenarios
 
@@ -229,6 +230,95 @@ let test_unix_wal_roundtrip () =
   let wal' = Wal.create disk' ~file:"wal" () in
   Alcotest.(check (list string)) "recovered = appended" (records @ [ "last" ]) (Wal.recover wal')
 
+(* --- the raw wire: the test plays a remote peer over a plain socket --- *)
+
+(* A listening backend whose host "srv" answers port "sum" with the
+   request's length, reachable as "wire.srv", and a raw client socket
+   connected to it. *)
+let raw_wire () =
+  let b = Backend_unix.create () in
+  let backend = Backend_unix.pack b in
+  let net = Backend.net backend in
+  let srv = Net.add_host net "srv" in
+  Net.bind net srv ~port:"sum" (fun req reply ->
+      reply (Ok (string_of_int (String.length req))));
+  let port = Backend_unix.listen b () in
+  Backend_unix.alias b ~name:"wire.srv" ~local:"srv";
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  (b, backend, fd)
+
+(* Run the backend's loop for [dt] seconds of wall clock. *)
+let pump backend dt =
+  let engine = Backend.engine backend in
+  Backend.run ~until:(Engine.now engine +. dt) backend
+
+(* Pump the server and collect what it sends the client until [stop]
+   holds of (bytes so far, read returned 0) or 5 s pass. *)
+let read_until backend fd stop =
+  let buf = Buffer.create 64 and chunk = Bytes.create 4096 in
+  let closed = ref false in
+  let give_up = Unix.gettimeofday () +. 5.0 in
+  while (not (stop (Buffer.contents buf) !closed)) && Unix.gettimeofday () < give_up do
+    pump backend 0.005;
+    match Unix.select [ fd ] [] [] 0.0 with
+    | [], _, _ -> ()
+    | _ -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> closed := true
+        | n -> Buffer.add_subbytes buf chunk 0 n)
+  done;
+  (Buffer.contents buf, !closed)
+
+let finish b fd =
+  Unix.close fd;
+  Backend_unix.shutdown b
+
+let tcp = Frame.key "tcp"
+let request = Frame.encode tcp (Frame.pack [ "Q"; "q1"; "raw"; "wire.srv"; "sum"; "12345" ])
+
+let test_wire_byte_at_a_time () =
+  let b, backend, fd = raw_wire () in
+  String.iteri
+    (fun i c ->
+      ignore (Unix.write_substring fd (String.make 1 c) 0 1);
+      (* Let the server see each partial frame on its own. *)
+      if i < String.length request - 1 then pump backend 0.001)
+    request;
+  let decode s = Frame.decode_at tcp s ~off:0 ~limit:(String.length s) in
+  let got, _ =
+    read_until backend fd (fun s closed ->
+        closed || match decode s with Frame.Payload _ -> true | _ -> false)
+  in
+  finish b fd;
+  match decode got with
+  | Frame.Payload (reply, _) ->
+      checkb "answered with the request's length" true
+        (Frame.unpack reply = Some [ "R"; "q1"; "K5" ])
+  | _ -> Alcotest.failf "no reply frame (%d bytes)" (String.length got)
+
+let test_wire_closes_on_bad_checksum () =
+  let b, backend, fd = raw_wire () in
+  let i = 8 + 15 in
+  let bad =
+    String.mapi (fun j c -> if j <> i then c else if c = '0' then '1' else '0') request
+  in
+  ignore (Unix.write_substring fd bad 0 (String.length bad));
+  let got, closed = read_until backend fd (fun _ closed -> closed) in
+  finish b fd;
+  checkb "connection closed" true closed;
+  checks "nothing answered" "" got
+
+let test_wire_closes_on_oversized_length () =
+  let b, backend, fd = raw_wire () in
+  (* 64 MiB + 1 declared, and no payload ever sent. *)
+  let header = "04000001" ^ String.make 16 '0' in
+  ignore (Unix.write_substring fd header 0 (String.length header));
+  let got, closed = read_until backend fd (fun _ closed -> closed) in
+  finish b fd;
+  checkb "connection closed" true closed;
+  checks "nothing answered" "" got
+
 (* --- sim ordering regression: the engine refactor is invisible --- *)
 
 let test_sim_schedule_replays_unchanged () =
@@ -254,6 +344,12 @@ let () =
         [
           Alcotest.test_case "loopback socket call" `Quick test_unix_loopback_call;
           Alcotest.test_case "WAL round-trips on a real disk" `Quick test_unix_wal_roundtrip;
+          Alcotest.test_case "a frame sent byte by byte is answered" `Quick
+            test_wire_byte_at_a_time;
+          Alcotest.test_case "a bad checksum closes the connection" `Quick
+            test_wire_closes_on_bad_checksum;
+          Alcotest.test_case "a length over 64 MiB closes the connection" `Quick
+            test_wire_closes_on_oversized_length;
         ] );
       ( "sim-ordering",
         [

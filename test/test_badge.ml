@@ -31,7 +31,7 @@ let run w dt = Engine.run ~until:(Engine.now w.engine +. dt) w.engine
 
 let test_home_registration_and_owner () =
   let w = make_world () in
-  let cl = Site.create w.net w.reg ~name:"CL" ~rooms:[ "T14"; "T15" ] () in
+  let cl = Site.create w.net ~name:"CL" ~rooms:[ "T14"; "T15" ] () in
   Site.register_badge cl ~badge:12 ~user:"rjh21";
   checkb "owner known" true (Site.owner cl ~badge:12 = Some "rjh21");
   checkb "unknown badge" true (Site.owner cl ~badge:99 = None);
@@ -39,7 +39,7 @@ let test_home_registration_and_owner () =
 
 let test_sighting_signals_seen () =
   let w = make_world () in
-  let cl = Site.create w.net w.reg ~name:"CL" ~rooms:[ "T14" ] () in
+  let cl = Site.create w.net ~name:"CL" ~rooms:[ "T14" ] () in
   Site.register_badge cl ~badge:12 ~user:"rjh21";
   let client = Net.add_host w.net "watcher" in
   let got = ref [] in
@@ -64,9 +64,9 @@ let test_intersite_protocol_fig62 () =
      info from A; when the badge moves to C, A purges B and signals
      MovedSite. *)
   let w = make_world () in
-  let a = Site.create w.net w.reg ~name:"A" ~rooms:[ "a1" ] () in
-  let b = Site.create w.net w.reg ~name:"B" ~rooms:[ "b1" ] () in
-  let c = Site.create w.net w.reg ~name:"C" ~rooms:[ "c1" ] () in
+  let a = Site.create w.net ~name:"A" ~rooms:[ "a1" ] () in
+  let b = Site.create w.net ~name:"B" ~rooms:[ "b1" ] () in
+  let c = Site.create w.net ~name:"C" ~rooms:[ "c1" ] () in
   Site.register_badge a ~badge:7 ~user:"karen";
   (* Watch MovedSite events at A's namer. *)
   let moved = ref [] in
@@ -98,8 +98,8 @@ let test_intersite_message_efficiency () =
   (* E11's property: repeated sightings of a cached foreign badge cost no
      inter-site messages. *)
   let w = make_world () in
-  let a = Site.create w.net w.reg ~name:"A" ~rooms:[ "a1" ] () in
-  let b = Site.create w.net w.reg ~name:"B" ~rooms:[ "b1"; "b2" ] () in
+  let a = Site.create w.net ~name:"A" ~rooms:[ "a1" ] () in
+  let b = Site.create w.net ~name:"B" ~rooms:[ "b1"; "b2" ] () in
   ignore a;
   Site.register_badge a ~badge:7 ~user:"karen";
   Site.sight b ~badge:7 ~home:"A" ~room:"b1";
@@ -113,8 +113,8 @@ let test_intersite_message_efficiency () =
 
 let test_home_badge_returning () =
   let w = make_world () in
-  let a = Site.create w.net w.reg ~name:"A" ~rooms:[ "a1" ] () in
-  let b = Site.create w.net w.reg ~name:"B" ~rooms:[ "b1" ] () in
+  let a = Site.create w.net ~name:"A" ~rooms:[ "a1" ] () in
+  let b = Site.create w.net ~name:"B" ~rooms:[ "b1" ] () in
   Site.register_badge a ~badge:7 ~user:"karen";
   Site.sight b ~badge:7 ~home:"A" ~room:"b1";
   run w 1.0;
@@ -128,7 +128,7 @@ let test_namer_dbregister_pattern () =
   (* §6.3.3: atomic lookup+register via retrospective registration — no race
      between reading OwnsBadge and hearing about later changes. *)
   let w = make_world () in
-  let cl = Site.create w.net w.reg ~name:"CL" ~rooms:[ "T14" ] () in
+  let cl = Site.create w.net ~name:"CL" ~rooms:[ "T14" ] () in
   Site.register_badge cl ~badge:12 ~user:"rjh21";
   run w 1.0;
   let client = Net.add_host w.net "monitor" in
@@ -158,8 +158,8 @@ let test_namer_dbregister_pattern () =
 
 let test_workload_generates_sightings () =
   let w = make_world () in
-  let a = Site.create w.net w.reg ~name:"A" ~rooms:[ "a1"; "a2"; "a3" ] () in
-  let b = Site.create w.net w.reg ~name:"B" ~rooms:[ "b1"; "b2" ] () in
+  let a = Site.create w.net ~name:"A" ~rooms:[ "a1"; "a2"; "a3" ] () in
+  let b = Site.create w.net ~name:"B" ~rooms:[ "b1"; "b2" ] () in
   let wl =
     Workload.create w.engine ~seed:7L ~sites:[ a; b ] ~people_per_site:5 ~mean_dwell:1.0
       ~travel_probability:0.2 ()
@@ -175,7 +175,7 @@ let test_workload_deterministic () =
     let w = make_world () in
     (* Fresh directory entries shadow older ones because Site.create
        replaces by name. *)
-    let a = Site.create w.net w.reg ~name:"A" ~rooms:[ "a1"; "a2" ] () in
+    let a = Site.create w.net ~name:"A" ~rooms:[ "a1"; "a2" ] () in
     let wl = Workload.create w.engine ~seed:99L ~sites:[ a ] ~people_per_site:3 () in
     Workload.start wl;
     Engine.run ~until:30.0 w.engine;
@@ -248,7 +248,7 @@ let test_erdl_no_credentials_no_visibility () =
 
 let badge_policy_world () =
   let w = make_world () in
-  let site = Site.create w.net w.reg ~name:"CL" ~rooms:[ "T14"; "T15" ] () in
+  let site = Site.create w.net ~name:"CL" ~rooms:[ "T14"; "T15" ] () in
   Site.register_badge site ~badge:12 ~user:"rjh21";
   Site.register_badge site ~badge:13 ~user:"other";
   (* An OASIS service issues OwnsBadge role certificates. *)
@@ -325,7 +325,7 @@ let test_remote_policy_proxy () =
      that applies the exporting site's policy; the Master itself stays
      unpoliced for trusted local infrastructure. *)
   let w = make_world () in
-  let site = Site.create w.net w.reg ~name:"CLX" ~rooms:[ "T14"; "T15" ] () in
+  let site = Site.create w.net ~name:"CLX" ~rooms:[ "T14"; "T15" ] () in
   Site.register_badge site ~badge:12 ~user:"rjh21";
   Site.register_badge site ~badge:13 ~user:"other";
   let nsvc_host = Net.add_host w.net "namersvcx" in

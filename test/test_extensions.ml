@@ -391,8 +391,7 @@ module Site = Oasis_badge.Site
 let test_composite_service_resignals () =
   let engine = Engine.create () in
   let net = Net.create ~latency:(Net.Fixed 0.01) engine in
-  let reg = Service.create_registry () in
-  let site = Site.create net reg ~name:"CSite" ~rooms:[ "r1"; "r2" ] ~heartbeat:0.5 () in
+  let site = Site.create net ~name:"CSite" ~rooms:[ "r1"; "r2" ] ~heartbeat:0.5 () in
   Site.register_badge site ~badge:1 ~user:"a";
   Site.register_badge site ~badge:2 ~user:"b";
   (* The composite server subscribes to the site's Master. *)
@@ -445,8 +444,7 @@ let test_composite_over_composite () =
      re-signalled stream — the independence property of §6.8.2. *)
   let engine = Engine.create () in
   let net = Net.create ~latency:(Net.Fixed 0.01) engine in
-  let reg = Service.create_registry () in
-  let site = Site.create net reg ~name:"CSite2" ~rooms:[ "r1" ] ~heartbeat:0.5 () in
+  let site = Site.create net ~name:"CSite2" ~rooms:[ "r1" ] ~heartbeat:0.5 () in
   Site.register_badge site ~badge:1 ~user:"a";
   Site.register_badge site ~badge:2 ~user:"b";
   let cs_host = Net.add_host net "cshost2" in
@@ -488,9 +486,9 @@ let test_three_site_policies () =
   let engine = Engine.create () in
   let net = Net.create ~latency:(Net.Fixed 0.005) engine in
   let reg = Service.create_registry () in
-  let cam = Site.create net reg ~name:"Cam" ~rooms:[ "r" ] () in
-  let orl = Site.create net reg ~name:"Orl" ~rooms:[ "r" ] () in
-  let parc = Site.create net reg ~name:"Parc" ~rooms:[ "r" ] () in
+  let cam = Site.create net ~name:"Cam" ~rooms:[ "r" ] () in
+  let orl = Site.create net ~name:"Orl" ~rooms:[ "r" ] () in
+  let parc = Site.create net ~name:"Parc" ~rooms:[ "r" ] () in
   List.iter (fun s -> Site.register_badge s ~badge:1 ~user:"me") [ cam; orl; parc ];
   List.iter (fun s -> Site.register_badge s ~badge:2 ~user:"other") [ cam; orl; parc ];
   let nsvc =

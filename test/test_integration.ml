@@ -33,8 +33,7 @@ let test_together_over_brokers () =
      detect Roger and Giles in the same room, distributed end to end. *)
   let engine = Engine.create () in
   let net = Net.create ~latency:(Net.Fixed 0.01) engine in
-  let reg = Service.create_registry () in
-  let a = Site.create net reg ~name:"A" ~rooms:[ "T14"; "T15" ] ~heartbeat:0.5 () in
+  let a = Site.create net ~name:"A" ~rooms:[ "T14"; "T15" ] ~heartbeat:0.5 () in
   Site.register_badge a ~badge:1 ~user:"roger";
   Site.register_badge a ~badge:2 ~user:"giles";
   let monitor_host = Net.add_host net "monitor" in
@@ -68,9 +67,8 @@ let test_without_over_brokers_waits_for_slow_site () =
      heals and then decides correctly against the late B. *)
   let engine = Engine.create () in
   let net = Net.create ~latency:(Net.Fixed 0.01) engine in
-  let reg = Service.create_registry () in
-  let fast = Site.create net reg ~name:"Fast" ~rooms:[ "f1" ] ~heartbeat:0.5 () in
-  let slow = Site.create net reg ~name:"Slow" ~rooms:[ "s1" ] ~heartbeat:0.5 () in
+  let fast = Site.create net ~name:"Fast" ~rooms:[ "f1" ] ~heartbeat:0.5 () in
+  let slow = Site.create net ~name:"Slow" ~rooms:[ "s1" ] ~heartbeat:0.5 () in
   Site.register_badge fast ~badge:1 ~user:"alice";
   Site.register_badge slow ~badge:2 ~user:"bob";
   let monitor_host = Net.add_host net "monitor" in
@@ -108,9 +106,8 @@ let test_without_over_brokers_waits_for_slow_site () =
 let test_without_over_brokers_fires_when_clear () =
   let engine = Engine.create () in
   let net = Net.create ~latency:(Net.Fixed 0.01) engine in
-  let reg = Service.create_registry () in
-  let fast = Site.create net reg ~name:"Fast2" ~rooms:[ "f1" ] ~heartbeat:0.5 () in
-  let slow = Site.create net reg ~name:"Slow2" ~rooms:[ "s1" ] ~heartbeat:0.5 () in
+  let fast = Site.create net ~name:"Fast2" ~rooms:[ "f1" ] ~heartbeat:0.5 () in
+  let slow = Site.create net ~name:"Slow2" ~rooms:[ "s1" ] ~heartbeat:0.5 () in
   Site.register_badge fast ~badge:1 ~user:"alice";
   let monitor_host = Net.add_host net "monitor2" in
   let sessions = ref [] in
@@ -221,7 +218,7 @@ let test_secured_monitor_under_workload () =
   let engine = Engine.create () in
   let net = Net.create ~latency:(Net.Fixed 0.005) engine in
   let reg = Service.create_registry () in
-  let site = Site.create net reg ~name:"HQ" ~rooms:[ "r1"; "r2"; "r3" ] ~heartbeat:0.5 () in
+  let site = Site.create net ~name:"HQ" ~rooms:[ "r1"; "r2"; "r3" ] ~heartbeat:0.5 () in
   let wl = Workload.create engine ~seed:3L ~sites:[ site ] ~people_per_site:4 ~mean_dwell:2.0 () in
   (* Namer-issued ownership certificates drive ERDL policy on the Master. *)
   let nsvc_host = Net.add_host net "namersvc" in

@@ -10,6 +10,8 @@ module Engine = Oasis_sim.Engine
 module Net = Oasis_sim.Net
 module Stats = Oasis_sim.Stats
 module Prng = Oasis_util.Prng
+module Siphash = Oasis_util.Siphash
+module Frame = Oasis_util.Frame
 module Disk = Oasis_store.Disk
 module Wal = Oasis_store.Wal
 module Journal = Oasis_store.Journal
@@ -141,11 +143,99 @@ let test_wal_rewrite_refuses_pending_callbacks () =
   checkb "rewrite goes through once the buffer is drained" true
     (Wal.recover wal = [ "fresh" ])
 
+(* --- the frame codec --- *)
+
+(* The framing as first written with [Printf], kept here as the reference
+   the codec must match byte for byte: persisted logs and the wire depend
+   on it. *)
+let printf_frame name payload =
+  let key = Siphash.key_of_string ("oasis.wal:" ^ name) in
+  Printf.sprintf "%08x%s%s" (String.length payload) (Siphash.hash_hex key payload) payload
+
+let printf_pack fields =
+  String.concat "" (List.map (fun f -> Printf.sprintf "%08x%s" (String.length f) f) fields)
+
+(* Random payloads of 0-300 bytes, plus one holding every byte value. *)
+let random_payloads seed n =
+  let prng = Prng.create seed in
+  String.init 256 Char.chr
+  :: List.init n (fun _ -> String.init (Prng.int prng 301) (fun _ -> Char.chr (Prng.int prng 256)))
+
+let test_frame_matches_printf () =
+  let payloads = random_payloads 7L 200 in
+  List.iteri
+    (fun i p ->
+      List.iter
+        (fun name ->
+          Alcotest.(check string)
+            (Printf.sprintf "payload %d under %S" i name)
+            (printf_frame name p)
+            (Frame.encode (Frame.key name) p))
+        [ "tcp"; "svc.S.wal"; "" ])
+    payloads;
+  Alcotest.(check string)
+    "encode_all is the concatenation" (String.concat "" (List.map (printf_frame "log") payloads))
+    (Frame.encode_all (Frame.key "log") payloads);
+  checki "tcp key" 0 (compare (Frame.key "tcp") (Siphash.key_of_string "oasis.wal:tcp"));
+  let fields = List.filteri (fun i _ -> i < 6) payloads in
+  Alcotest.(check string) "pack" (printf_pack fields) (Frame.pack fields);
+  checkb "unpack inverts pack" true (Frame.unpack (Frame.pack fields) = Some fields);
+  checkb "unpack rejects a truncated envelope" true
+    (Frame.unpack (String.sub (Frame.pack fields) 0 20) = None)
+
+(* Every decoded frame from [off] up to [limit], and what stopped the run. *)
+let decode_run key s ~limit =
+  let rec go off acc =
+    match Frame.decode_at key s ~off ~limit with
+    | Frame.Payload (p, next) -> go next (p :: acc)
+    | stop -> (List.rev acc, stop)
+  in
+  go 0 []
+
+let test_frame_split_points () =
+  let key = Frame.key "log" in
+  let payloads = [ "a"; ""; String.make 40 '\x00'; "0000000a"; String.init 256 Char.chr ] in
+  let framed = Frame.encode_all key payloads in
+  (* Frame [i] ends at [ends.(i)]. *)
+  let ends =
+    Array.of_list
+      (List.rev
+         (snd
+            (List.fold_left
+               (fun (off, acc) p ->
+                 let e = off + Frame.header + String.length p in
+                 (e, e :: acc))
+               (0, []) payloads)))
+  in
+  for cut = 0 to String.length framed do
+    let got, stop = decode_run key framed ~limit:cut in
+    let whole = List.filteri (fun i _ -> ends.(i) <= cut) payloads in
+    Alcotest.(check (list string)) (Printf.sprintf "payloads before cut %d" cut) whole got;
+    match stop with
+    | Frame.Short need ->
+        let off = if whole = [] then 0 else ends.(List.length whole - 1) in
+        checkb (Printf.sprintf "cut %d is short of a frame" cut) true (off + need > cut)
+    | Frame.Bad -> Alcotest.failf "cut %d decodes as a bad frame" cut
+    | Frame.Payload _ -> assert false
+  done;
+  let one = Frame.encode key "0123456789" in
+  let decode s = Frame.decode_at key s ~off:0 ~limit:(String.length s) in
+  checkb "intact" true (decode one = Frame.Payload ("0123456789", String.length one));
+  let set s i c = String.mapi (fun j d -> if j = i then c else d) s in
+  let flip = if one.[12] = '0' then '1' else '0' in
+  checkb "one flipped checksum digit" true (decode (set one 12 flip) = Frame.Bad);
+  checkb "the length field ends in a letter" true (String.sub one 0 8 = "0000000a");
+  checkb "uppercase hex length is bad" true (decode (set one 7 'A') = Frame.Bad);
+  checkb "non-hex length is bad" true (decode (set one 0 'g') = Frame.Bad);
+  checkb "wrong key" true
+    (Frame.decode_at (Frame.key "other") one ~off:0 ~limit:(String.length one) = Frame.Bad)
+
 (* Property: the recovery scan is total and prefix-stable under arbitrary
    single-byte corruption and truncation of the framed bytes. *)
 let test_wal_decoder_fuzz () =
   let records = List.init 12 (fun i -> Printf.sprintf "payload-%d-%s" i (String.make i 'y')) in
-  let framed = String.concat "" (List.map (Wal.frame_with ~key:"log") records) in
+  let key = Frame.key "log" in
+  let framed = Frame.encode_all key records in
   let is_prefix l = records = l @ List.filteri (fun i _ -> i >= List.length l) records in
   for seed = 1 to 50 do
     let prng = Prng.create (Int64.of_int seed) in
@@ -160,14 +250,14 @@ let test_wal_decoder_fuzz () =
       else String.sub framed 0 (Prng.int prng (String.length framed + 1))
     in
     let decoded =
-      try Wal.decode_with ~key:"log" mutated
+      try Frame.scan key mutated
       with e -> Alcotest.failf "decoder raised on seed %d: %s" seed (Printexc.to_string e)
     in
     checkb
       (Printf.sprintf "seed %d decodes to a prefix" seed)
       true (is_prefix decoded);
     (* Wrong key: nothing validates. *)
-    checkb "other file's key rejects all" true (Wal.decode_with ~key:"other" mutated = [])
+    checkb "other file's key rejects all" true (Frame.scan (Frame.key "other") mutated = [])
   done
 
 (* An fsync issued before an atomic replace that lands first (a short
@@ -426,7 +516,7 @@ let test_broker_checkpoint_crash_window () =
   done;
   checki "checkpoint started" 1 (Stats.count (Net.stats w.net) "store.snapshot");
   let wal_records () =
-    Wal.decode_with ~key:"broker.b.wal" (Disk.read w.disk ~file:"broker.b.wal")
+    Frame.scan (Frame.key "broker.b.wal") (Disk.read w.disk ~file:"broker.b.wal")
   in
   step_until w (fun () -> Disk.durable_size w.disk ~file:"broker.b.snap" > 0);
   checki "old log still in place" 255 (List.length (wal_records ()));
@@ -780,6 +870,12 @@ let () =
           Alcotest.test_case "rewrite refuses pending durability callbacks" `Quick
             test_wal_rewrite_refuses_pending_callbacks;
           Alcotest.test_case "decoder total under corruption (fuzz)" `Quick test_wal_decoder_fuzz;
+        ] );
+      ( "frame",
+        [
+          Alcotest.test_case "encode matches the printf framing" `Quick test_frame_matches_printf;
+          Alcotest.test_case "every split point is short, never bad" `Quick
+            test_frame_split_points;
         ] );
       ( "disk",
         [
